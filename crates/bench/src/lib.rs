@@ -117,7 +117,8 @@ pub fn capture_with_cache(
     cache: Option<&Path>,
 ) -> BenchData {
     let Some(dir) = cache else {
-        return capture_cold(workload, budget, cfg);
+        let (artifact, phases) = capture_cold(workload, budget, cfg);
+        return bench_data_from_artifact(workload, artifact, phases);
     };
     let fp = capture_fingerprint(workload, budget, &cfg);
     let path = dir.join(fp.file_name());
@@ -142,8 +143,7 @@ pub fn capture_with_cache(
             ));
         }
     }
-    let data = capture_cold(workload, budget, cfg);
-    let artifact = artifact_from_bench_data(&data);
+    let (artifact, phases) = capture_cold(workload, budget, cfg);
     let store = Instant::now();
     match ntc::write_file(&path, &fp, &artifact) {
         Ok(bytes) => ntp_tracefile::counters::record_store(bytes, store.elapsed()),
@@ -153,12 +153,13 @@ pub fn capture_with_cache(
             path.display()
         )),
     }
-    data
+    bench_data_from_artifact(workload, artifact, phases)
 }
 
-/// Rehydrates a [`BenchData`] from a decoded cache artifact. The static
-/// name/analog strings come from the workload (the fingerprint already
-/// guarantees they match the artifact).
+/// Turns a capture artifact — decoded from the cache or freshly captured —
+/// into a [`BenchData`], moving the record stream rather than copying it.
+/// The static name/analog strings come from the workload (the fingerprint
+/// guarantees they match a cached artifact).
 fn bench_data_from_artifact(
     workload: &Workload,
     artifact: CaptureArtifact,
@@ -179,23 +180,6 @@ fn bench_data_from_artifact(
     }
 }
 
-/// The persisted form of one capture pass (everything except the
-/// wall-clock phase timings, which are volatile by definition).
-fn artifact_from_bench_data(d: &BenchData) -> CaptureArtifact {
-    CaptureArtifact {
-        name: d.name.to_string(),
-        analog_of: d.analog_of.to_string(),
-        icount: d.icount,
-        records: d.records.clone(),
-        trace_stats: d.trace_stats.to_raw(),
-        redundancy: d.redundancy.to_raw(),
-        seq_stats: d.seq_stats.clone(),
-        mb_stats: d.mb_stats.clone(),
-        gag_stats: d.gag_stats.clone(),
-        mix: d.mix.clone(),
-    }
-}
-
 /// A conservative pre-reservation for the trace-record stream: the
 /// paper's traces average well above 8 instructions, so `budget / 8`
 /// never over-reserves by more than ~2x, clamped to keep tiny budgets
@@ -206,8 +190,14 @@ fn estimated_record_capacity(budget: u64) -> usize {
         .clamp(64, 1 << 20)
 }
 
-/// The uncached capture pass: one full functional simulation.
-fn capture_cold(workload: &Workload, budget: u64, cfg: TraceConfig) -> BenchData {
+/// The uncached capture pass: one full functional simulation, returned in
+/// its persisted form (the record stream's only copy) plus its phase
+/// timings.
+fn capture_cold(
+    workload: &Workload,
+    budget: u64,
+    cfg: TraceConfig,
+) -> (CaptureArtifact, PhaseTimes) {
     let mut machine = workload.machine();
     let mut builder = TraceBuilder::new(cfg);
     let mut records = Vec::with_capacity(estimated_record_capacity(budget));
@@ -244,19 +234,19 @@ fn capture_cold(workload: &Workload, budget: u64, cfg: TraceConfig) -> BenchData
         }
     }
 
-    BenchData {
-        name: workload.name,
-        analog_of: workload.analog_of,
+    let artifact = CaptureArtifact {
+        name: workload.name.to_string(),
+        analog_of: workload.analog_of.to_string(),
+        icount: machine.icount(),
         records,
-        trace_stats,
-        redundancy,
+        trace_stats: trace_stats.to_raw(),
+        redundancy: redundancy.to_raw(),
         seq_stats: seq.stats().clone(),
         mb_stats: mb.stats().clone(),
         gag_stats: gag.stats().clone(),
         mix,
-        icount: machine.icount(),
-        phases,
-    }
+    };
+    (artifact, phases)
 }
 
 /// Reads `NTP_SCALE` (default: `default`).
@@ -364,12 +354,13 @@ pub fn capture_suite_in(cache: Option<&Path>) -> Vec<BenchData> {
         threads: stats.threads,
     };
     reporter.line(&format!(
-        "[capture] suite done: {:.1} Minstr in {:.2} s ({:.2}x over serial, {} thread{})",
+        "[capture] suite done: {:.1} Minstr in {:.2} s ({:.2}x over serial, {} thread{}){}",
         instrs as f64 / 1e6,
         stats.wall.as_secs_f64(),
         stats.speedup(),
         stats.threads,
         if stats.threads == 1 { "" } else { "s" },
+        peak_rss_mib().map_or(String::new(), |m| format!(", peak RSS {m:.1} MiB")),
     ));
     record_section_throughput(sample);
     let cache_counters = ntp_tracefile::counters();
@@ -377,6 +368,21 @@ pub fn capture_suite_in(cache: Option<&Path>) -> Vec<BenchData> {
         reporter.line(&format!("[cache] {}", cache_counters.summary_line()));
     }
     data
+}
+
+/// This process's peak resident set size (`VmHWM`) in MiB, where
+/// `/proc/self/status` reports it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 /// Prints a row of cells: first column left-aligned 10 wide, the rest
@@ -425,6 +431,12 @@ mod tests {
         assert_eq!(estimated_record_capacity(0), 64);
         assert_eq!(estimated_record_capacity(8_000), 1_000);
         assert_eq!(estimated_record_capacity(u64::MAX), 1 << 20);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn peak_rss_is_read_from_proc() {
+        assert!(peak_rss_mib().is_some_and(|m| m > 0.0));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use ntp_trace::{
     ControlMix, RedundancyRaw, TraceId, TraceRecord, TraceStatsRaw, MAX_TRACE_BRANCHES,
     MAX_TRACE_LEN,
 };
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 /// File magic: the first four bytes of every `.ntc` file.
@@ -176,13 +176,18 @@ pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// A streaming section writer: buffers one section's payload, then emits
-/// `tag | len | payload | checksum` into the underlying sink. Only one
-/// section is resident at a time, so the peak memory cost is the largest
-/// section (the record stream), not the whole file.
+/// A streaming section writer: emits `tag | len | payload | checksum`
+/// into the underlying sink, folding each payload piece into the section
+/// checksum as it is written. A section's payload may arrive in any number
+/// of [`SectionWriter::body`] calls, so the writer itself buffers nothing:
+/// peak codec memory is whatever the caller hands it at once — one
+/// [`CHUNK_BYTES`] chunk for the record stream.
 pub(crate) struct SectionWriter<W: Write> {
     sink: W,
     pub(crate) bytes_written: u64,
+    hash: Fnv64,
+    /// Payload bytes the open section still owes its declared length.
+    owed: u64,
 }
 
 impl<W: Write> SectionWriter<W> {
@@ -190,6 +195,8 @@ impl<W: Write> SectionWriter<W> {
         SectionWriter {
             sink,
             bytes_written: 0,
+            hash: Fnv64::new(),
+            owed: 0,
         }
     }
 
@@ -199,17 +206,82 @@ impl<W: Write> SectionWriter<W> {
         Ok(())
     }
 
-    pub(crate) fn section(&mut self, tag: &[u8; 4], payload: &[u8]) -> std::io::Result<()> {
-        let len = (payload.len() as u64).to_le_bytes();
-        let mut h = Fnv64::new();
-        h.update(tag);
-        h.update(&len);
-        h.update(payload);
+    /// Opens a section whose payload will be exactly `len` bytes.
+    pub(crate) fn begin(&mut self, tag: &[u8; 4], len: u64) -> std::io::Result<()> {
+        let len_bytes = len.to_le_bytes();
+        self.hash = Fnv64::new();
+        self.hash.update(tag);
+        self.hash.update(&len_bytes);
+        self.owed = len;
         self.raw(tag)?;
-        self.raw(&len)?;
-        self.raw(payload)?;
-        self.raw(&h.finish().to_le_bytes())
+        self.raw(&len_bytes)
     }
+
+    /// Appends the next piece of the open section's payload.
+    pub(crate) fn body(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.owed = self
+            .owed
+            .checked_sub(bytes.len() as u64)
+            .expect("section payload exceeds its declared length");
+        self.hash.update(bytes);
+        self.raw(bytes)
+    }
+
+    /// Closes the open section with its checksum.
+    pub(crate) fn end(&mut self) -> std::io::Result<()> {
+        assert_eq!(self.owed, 0, "section payload short of its declared length");
+        self.raw(&self.hash.finish().to_le_bytes())
+    }
+
+    /// Writes one whole section from an in-memory payload.
+    pub(crate) fn section(&mut self, tag: &[u8; 4], payload: &[u8]) -> std::io::Result<()> {
+        self.begin(tag, payload.len() as u64)?;
+        self.body(payload)?;
+        self.end()
+    }
+}
+
+/// Bytes of record stream the codec encodes or decodes per step (8 KiB
+/// records). Bounds the codec's own buffers independently of stream
+/// length; a multiple of the 8-byte record size.
+pub const CHUNK_BYTES: usize = 64 * 1024;
+
+/// The 8-byte on-disk form of one record.
+fn encode_record(r: &TraceRecord) -> [u8; 8] {
+    let id = r.id();
+    let pc = id.start_pc.to_le_bytes();
+    [
+        pc[0],
+        pc[1],
+        pc[2],
+        pc[3],
+        id.branch_bits,
+        id.branch_count,
+        r.len,
+        r.call_count()
+            | (u8::from(r.ends_in_return()) << 3)
+            | (u8::from(r.ends_in_indirect()) << 4),
+    ]
+}
+
+/// Streams the `RECS` section — record count, then the records — through
+/// one reusable [`CHUNK_BYTES`] buffer.
+fn write_records<W: Write>(
+    w: &mut SectionWriter<W>,
+    records: &[TraceRecord],
+) -> std::io::Result<()> {
+    let count = records.len() as u64;
+    w.begin(b"RECS", 8 + count * 8)?;
+    w.body(&count.to_le_bytes())?;
+    let mut chunk = Vec::with_capacity(CHUNK_BYTES.min(records.len() * 8));
+    for part in records.chunks(CHUNK_BYTES / 8) {
+        chunk.clear();
+        for r in part {
+            chunk.extend_from_slice(&encode_record(r));
+        }
+        w.body(&chunk)?;
+    }
+    w.end()
 }
 
 fn encode_meta(a: &CaptureArtifact) -> Vec<u8> {
@@ -217,24 +289,6 @@ fn encode_meta(a: &CaptureArtifact) -> Vec<u8> {
     put_str(&mut p, &a.name);
     put_str(&mut p, &a.analog_of);
     put_u64(&mut p, a.icount);
-    p
-}
-
-fn encode_records(records: &[TraceRecord]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(8 + records.len() * 8);
-    put_u64(&mut p, records.len() as u64);
-    for r in records {
-        let id = r.id();
-        p.extend_from_slice(&id.start_pc.to_le_bytes());
-        p.push(id.branch_bits);
-        p.push(id.branch_count);
-        p.push(r.len);
-        p.push(
-            r.call_count()
-                | (u8::from(r.ends_in_return()) << 3)
-                | (u8::from(r.ends_in_indirect()) << 4),
-        );
-    }
     p
 }
 
@@ -336,7 +390,7 @@ pub fn write_to<W: Write>(
     w.raw(&header)?;
     // Sections, in the fixed order SECTIONS declares.
     w.section(b"META", &encode_meta(artifact))?;
-    w.section(b"RECS", &encode_records(&artifact.records))?;
+    write_records(&mut w, &artifact.records)?;
     w.section(b"TSTA", &encode_trace_stats(&artifact.trace_stats))?;
     w.section(b"REDN", &encode_redundancy(&artifact.redundancy))?;
     w.section(b"SEQS", &encode_sequential(&artifact.seq_stats))?;
@@ -389,47 +443,97 @@ pub fn write_file(
 // Decoding
 // ---------------------------------------------------------------------------
 
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The one decoder input of both formats: a byte source plus the number of
+/// bytes it may still yield (the slice length, or the file length). Every
+/// length read from the input is checked against that bound before
+/// anything is allocated for it, so a crafted count can only produce a
+/// [`TraceFileError`], never a huge allocation.
+pub(crate) struct Reader<R: Read> {
+    inner: R,
+    remaining: u64,
 }
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
+impl<'a> Reader<&'a [u8]> {
+    pub(crate) fn slice(bytes: &'a [u8]) -> Reader<&'a [u8]> {
+        Reader::new(bytes, bytes.len() as u64)
+    }
+}
+
+impl<R: Read> Reader<R> {
+    /// A reader over `inner`, which holds exactly `len` more bytes.
+    pub(crate) fn new(inner: R, len: u64) -> Reader<R> {
+        Reader {
+            inner,
+            remaining: len,
+        }
     }
 
-    pub(crate) fn take(
+    pub(crate) fn remaining(&self) -> u64 {
+        self.remaining
+    }
+
+    /// Fills `buf` from the input, or reports `what` as truncated.
+    pub(crate) fn fill(
+        &mut self,
+        buf: &mut [u8],
+        what: &'static str,
+    ) -> Result<(), TraceFileError> {
+        let n = buf.len() as u64;
+        if n > self.remaining {
+            return Err(TraceFileError::Truncated { what });
+        }
+        self.inner.read_exact(buf).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => TraceFileError::Truncated { what },
+            _ => TraceFileError::Io(e),
+        })?;
+        self.remaining -= n;
+        Ok(())
+    }
+
+    pub(crate) fn array<const N: usize>(
+        &mut self,
+        what: &'static str,
+    ) -> Result<[u8; N], TraceFileError> {
+        let mut b = [0u8; N];
+        self.fill(&mut b, what)?;
+        Ok(b)
+    }
+
+    /// The next `n` bytes as an owned buffer, allocated only once the
+    /// input is known to hold them.
+    pub(crate) fn bytes(
         &mut self,
         n: usize,
         what: &'static str,
-    ) -> Result<&'a [u8], TraceFileError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(TraceFileError::Truncated { what })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+    ) -> Result<Vec<u8>, TraceFileError> {
+        if n as u64 > self.remaining {
+            return Err(TraceFileError::Truncated { what });
+        }
+        let mut b = vec![0u8; n];
+        self.fill(&mut b, what)?;
+        Ok(b)
     }
 
     pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, TraceFileError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.array::<1>(what)?[0])
     }
 
     pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, TraceFileError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, TraceFileError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    /// `TrailingBytes` unless the input is exhausted.
+    pub(crate) fn finish(&self) -> Result<(), TraceFileError> {
+        match self.remaining {
+            0 => Ok(()),
+            n => Err(TraceFileError::TrailingBytes {
+                extra: usize::try_from(n).unwrap_or(usize::MAX),
+            }),
+        }
     }
 }
 
@@ -440,53 +544,87 @@ pub(crate) fn malformed(section: &'static str, what: impl Into<String>) -> Trace
     }
 }
 
-pub(crate) fn decode_str(
-    c: &mut Cursor<'_>,
+/// Bytes taken by `count` elements of `width` bytes each, or `Malformed`
+/// when a crafted count makes that overflow.
+pub(crate) fn array_len(
+    count: usize,
+    width: usize,
+    section: &'static str,
+    what: &'static str,
+) -> Result<usize, TraceFileError> {
+    count
+        .checked_mul(width)
+        .ok_or_else(|| malformed(section, format!("{what} count {count} overflows")))
+}
+
+pub(crate) fn decode_str<R: Read>(
+    r: &mut Reader<R>,
     section: &'static str,
     what: &'static str,
 ) -> Result<String, TraceFileError> {
-    let len = c.u32(what)? as usize;
-    let bytes = c.take(len, what)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| malformed(section, format!("{what}: not UTF-8")))
+    let len = r.u32(what)? as usize;
+    let bytes = r.bytes(len, what)?;
+    String::from_utf8(bytes).map_err(|_| malformed(section, format!("{what}: not UTF-8")))
 }
 
-/// Reads one section's payload, verifying tag and checksum.
-pub(crate) fn section<'a>(
-    c: &mut Cursor<'a>,
+/// Reads a section header, checking the tag and that the input can hold
+/// the declared payload. Returns the payload length and the section
+/// checksum primed with tag and length.
+fn section_header<R: Read>(
+    r: &mut Reader<R>,
     tag: &'static [u8; 4],
     name: &'static str,
-) -> Result<&'a [u8], TraceFileError> {
-    let found_tag = c.take(4, "section tag")?;
-    if found_tag != tag {
+) -> Result<(usize, Fnv64), TraceFileError> {
+    let found_tag = r.array::<4>("section tag")?;
+    if &found_tag != tag {
         return Err(malformed(
             name,
             format!(
                 "expected tag {:?}, found {:?}",
                 String::from_utf8_lossy(tag),
-                String::from_utf8_lossy(found_tag)
+                String::from_utf8_lossy(&found_tag)
             ),
         ));
     }
-    let len = c.u64("section length")?;
+    let len = r.u64("section length")?;
     let len_usize =
         usize::try_from(len).map_err(|_| malformed(name, format!("section length {len}")))?;
-    if len_usize > c.remaining() {
+    if len > r.remaining() {
         return Err(TraceFileError::Truncated { what: name });
     }
-    let payload = c.take(len_usize, name)?;
-    let stored = c.u64("section checksum")?;
     let mut h = Fnv64::new();
     h.update(tag);
     h.update(&len.to_le_bytes());
-    h.update(payload);
-    if h.finish() != stored {
+    Ok((len_usize, h))
+}
+
+/// Reads a section's stored checksum and compares it with `h`.
+fn section_end<R: Read>(
+    r: &mut Reader<R>,
+    h: Fnv64,
+    name: &'static str,
+) -> Result<(), TraceFileError> {
+    if r.u64("section checksum")? != h.finish() {
         return Err(TraceFileError::ChecksumMismatch { section: name });
     }
+    Ok(())
+}
+
+/// Reads one whole section's payload, verifying tag and checksum.
+pub(crate) fn section<R: Read>(
+    r: &mut Reader<R>,
+    tag: &'static [u8; 4],
+    name: &'static str,
+) -> Result<Vec<u8>, TraceFileError> {
+    let (len, mut h) = section_header(r, tag, name)?;
+    let payload = r.bytes(len, name)?;
+    h.update(&payload);
+    section_end(r, h, name)?;
     Ok(payload)
 }
 
 fn decode_meta(payload: &[u8]) -> Result<(String, String, u64), TraceFileError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::slice(payload);
     let name = decode_str(&mut c, "meta", "benchmark name")?;
     let analog = decode_str(&mut c, "meta", "analog name")?;
     let icount = c.u64("icount")?;
@@ -496,61 +634,97 @@ fn decode_meta(payload: &[u8]) -> Result<(String, String, u64), TraceFileError> 
     Ok((name, analog, icount))
 }
 
-fn decode_records(payload: &[u8]) -> Result<Vec<TraceRecord>, TraceFileError> {
-    let mut c = Cursor::new(payload);
-    let count = c.u64("record count")?;
-    let count = usize::try_from(count).map_err(|_| malformed("records", "count overflow"))?;
-    let expect = 8usize
-        .checked_add(
-            count
-                .checked_mul(8)
-                .ok_or(malformed("records", "count overflow"))?,
-        )
-        .ok_or(malformed("records", "count overflow"))?;
-    if payload.len() != expect {
+/// Decodes and range-checks one 8-byte record.
+fn decode_record(b: &[u8]) -> Result<TraceRecord, TraceFileError> {
+    let start_pc = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let [branch_bits, branch_count, len, flags] = [b[4], b[5], b[6], b[7]];
+    if branch_count as usize > MAX_TRACE_BRANCHES {
+        return Err(malformed("records", format!("branch_count {branch_count}")));
+    }
+    if branch_bits & !(((1u16 << branch_count) - 1) as u8) != 0 {
         return Err(malformed(
             "records",
-            format!(
-                "payload is {}B, count {count} needs {expect}B",
-                payload.len()
-            ),
+            format!("branch bits {branch_bits:#b} exceed count {branch_count}"),
         ));
     }
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        let start_pc = c.u32("record pc")?;
-        let branch_bits = c.u8("record bits")?;
-        let branch_count = c.u8("record branch count")?;
-        let len = c.u8("record len")?;
-        let flags = c.u8("record flags")?;
-        if branch_count as usize > MAX_TRACE_BRANCHES {
-            return Err(malformed("records", format!("branch_count {branch_count}")));
-        }
-        if branch_bits & !(((1u16 << branch_count) - 1) as u8) != 0 {
-            return Err(malformed(
-                "records",
-                format!("branch bits {branch_bits:#b} exceed count {branch_count}"),
-            ));
-        }
-        if !(1..=MAX_TRACE_LEN as u8).contains(&len) {
-            return Err(malformed("records", format!("trace length {len}")));
-        }
-        if flags & 0b1110_0000 != 0 {
-            return Err(malformed("records", format!("flag bits {flags:#010b}")));
-        }
-        records.push(TraceRecord::new(
-            TraceId::new(start_pc, branch_bits, branch_count),
-            len,
-            flags & 0b111,
-            flags & 0b1000 != 0,
-            flags & 0b1_0000 != 0,
-        ));
+    if !(1..=MAX_TRACE_LEN as u8).contains(&len) {
+        return Err(malformed("records", format!("trace length {len}")));
     }
-    Ok(records)
+    if flags & 0b1110_0000 != 0 {
+        return Err(malformed("records", format!("flag bits {flags:#010b}")));
+    }
+    Ok(TraceRecord::new(
+        TraceId::new(start_pc, branch_bits, branch_count),
+        len,
+        flags & 0b111,
+        flags & 0b1000 != 0,
+        flags & 0b1_0000 != 0,
+    ))
+}
+
+/// The `RECS` payload length `count` records need, or why it cannot be.
+fn records_len(count: u64) -> Result<usize, TraceFileError> {
+    usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(8))
+        .and_then(|b| b.checked_add(8))
+        .ok_or(malformed("records", "count overflow"))
+}
+
+/// Streams the `RECS` section straight into an exact-capacity record
+/// vector, one [`CHUNK_BYTES`] chunk at a time, hashing each chunk just
+/// before decoding it. A value-range error found on the way is held back
+/// until the checksum has been verified, so a corrupt section reports a
+/// checksum mismatch, never a range error.
+fn read_records<R: Read>(r: &mut Reader<R>) -> Result<Vec<TraceRecord>, TraceFileError> {
+    let (len, mut h) = section_header(r, b"RECS", "records")?;
+    let mut rest = len;
+    let mut held = None;
+    let mut records = Vec::new();
+    if len < 8 {
+        held = Some(TraceFileError::Truncated {
+            what: "record count",
+        });
+    } else {
+        let count_bytes = r.array::<8>("records")?;
+        h.update(&count_bytes);
+        rest -= 8;
+        let count = u64::from_le_bytes(count_bytes);
+        match records_len(count) {
+            Ok(expect) if expect == len => records = Vec::with_capacity(rest / 8),
+            Ok(expect) => {
+                held = Some(malformed(
+                    "records",
+                    format!("payload is {len}B, count {count} needs {expect}B"),
+                ))
+            }
+            Err(e) => held = Some(e),
+        }
+    }
+    let mut chunk = vec![0u8; CHUNK_BYTES.min(rest)];
+    while rest > 0 {
+        let part = &mut chunk[..CHUNK_BYTES.min(rest)];
+        r.fill(part, "records")?;
+        h.update(part);
+        if held.is_none() {
+            for b in part.chunks_exact(8) {
+                match decode_record(b) {
+                    Ok(rec) => records.push(rec),
+                    Err(e) => {
+                        held = Some(e);
+                        break;
+                    }
+                }
+            }
+        }
+        rest -= part.len();
+    }
+    section_end(r, h, "records")?;
+    held.map_or(Ok(records), Err)
 }
 
 fn decode_trace_stats(payload: &[u8]) -> Result<TraceStatsRaw, TraceFileError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::slice(payload);
     let traces = c.u64("trace_stats.traces")?;
     let instrs = c.u64("trace_stats.instrs")?;
     let cond_branches = c.u64("trace_stats.cond_branches")?;
@@ -559,10 +733,11 @@ fn decode_trace_stats(payload: &[u8]) -> Result<TraceStatsRaw, TraceFileError> {
     let indirect = c.u64("trace_stats.indirect")?;
     let n = c.u64("trace_stats.static count")?;
     let n = usize::try_from(n).map_err(|_| malformed("trace_stats", "static count overflow"))?;
-    if c.remaining() != n * 8 {
+    let need = array_len(n, 8, "trace_stats", "static id")?;
+    if c.remaining() != need as u64 {
         return Err(malformed(
             "trace_stats",
-            format!("static set needs {}B, {}B remain", n * 8, c.remaining()),
+            format!("static set needs {need}B, {}B remain", c.remaining()),
         ));
     }
     let mut static_ids = Vec::with_capacity(n);
@@ -584,12 +759,12 @@ fn decode_trace_stats(payload: &[u8]) -> Result<TraceStatsRaw, TraceFileError> {
 }
 
 fn decode_redundancy(payload: &[u8]) -> Result<RedundancyRaw, TraceFileError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::slice(payload);
     let stored_instrs = c.u64("redundancy.stored_instrs")?;
     let n_seen = c.u64("redundancy.seen count")?;
     let n_seen =
         usize::try_from(n_seen).map_err(|_| malformed("redundancy", "seen count overflow"))?;
-    let mut seen_traces = Vec::with_capacity(n_seen.min(c.remaining() / 8));
+    let mut seen_traces = Vec::with_capacity(n_seen.min(c.remaining() as usize / 8));
     for _ in 0..n_seen {
         seen_traces.push(c.u64("redundancy.seen id")?);
     }
@@ -599,14 +774,11 @@ fn decode_redundancy(payload: &[u8]) -> Result<RedundancyRaw, TraceFileError> {
     let n_copies = c.u64("redundancy.copy count")?;
     let n_copies =
         usize::try_from(n_copies).map_err(|_| malformed("redundancy", "copy count overflow"))?;
-    if c.remaining() != n_copies * 8 {
+    let need = array_len(n_copies, 8, "redundancy", "copy")?;
+    if c.remaining() != need as u64 {
         return Err(malformed(
             "redundancy",
-            format!(
-                "copy map needs {}B, {}B remain",
-                n_copies * 8,
-                c.remaining()
-            ),
+            format!("copy map needs {need}B, {}B remain", c.remaining()),
         ));
     }
     let mut copies = Vec::with_capacity(n_copies);
@@ -635,7 +807,7 @@ fn decode_u64s<const N: usize>(
             format!("expected {}B, found {}B", N * 8, payload.len()),
         ));
     }
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::slice(payload);
     let mut out = [0u64; N];
     for v in &mut out {
         *v = c.u64(section_name)?;
@@ -643,18 +815,16 @@ fn decode_u64s<const N: usize>(
     Ok(out)
 }
 
-/// Decodes a complete in-memory `.ntc` image, validating it against the
-/// expected fingerprint.
-///
-/// # Errors
-///
-/// Any header, fingerprint, checksum, length, or value-range mismatch
-/// (see [`TraceFileError`]). On error nothing is returned — partial
-/// loads are impossible by construction.
-pub fn decode(bytes: &[u8], expected: &Fingerprint) -> Result<CaptureArtifact, TraceFileError> {
-    let mut c = Cursor::new(bytes);
+/// Decodes one `.ntc` image from `r`, validating it against the expected
+/// fingerprint. Only the record stream is held in full; every other
+/// section is small.
+fn decode_from<R: Read>(
+    mut r: Reader<R>,
+    expected: &Fingerprint,
+) -> Result<CaptureArtifact, TraceFileError> {
+    let c = &mut r;
     // Header.
-    if c.take(4, "magic")? != MAGIC {
+    if c.array::<4>("magic")? != MAGIC {
         return Err(TraceFileError::BadMagic);
     }
     let version = c.u32("format version")?;
@@ -662,7 +832,7 @@ pub fn decode(bytes: &[u8], expected: &Fingerprint) -> Result<CaptureArtifact, T
         return Err(TraceFileError::BadVersion { found: version });
     }
     let stored_hash = c.u64("fingerprint hash")?;
-    let canon = decode_str(&mut c, "header", "fingerprint string")?;
+    let canon = decode_str(c, "header", "fingerprint string")?;
     if fnv64(canon.as_bytes()) != stored_hash {
         return Err(TraceFileError::CorruptHeader);
     }
@@ -673,13 +843,13 @@ pub fn decode(bytes: &[u8], expected: &Fingerprint) -> Result<CaptureArtifact, T
         });
     }
     // Sections, fixed order.
-    let meta = section(&mut c, SECTIONS[0].0, SECTIONS[0].1)?;
-    let (name, analog_of, icount) = decode_meta(meta)?;
-    let records = decode_records(section(&mut c, SECTIONS[1].0, SECTIONS[1].1)?)?;
-    let trace_stats = decode_trace_stats(section(&mut c, SECTIONS[2].0, SECTIONS[2].1)?)?;
-    let redundancy = decode_redundancy(section(&mut c, SECTIONS[3].0, SECTIONS[3].1)?)?;
+    let meta = section(c, SECTIONS[0].0, SECTIONS[0].1)?;
+    let (name, analog_of, icount) = decode_meta(&meta)?;
+    let records = read_records(c)?;
+    let trace_stats = decode_trace_stats(&section(c, SECTIONS[2].0, SECTIONS[2].1)?)?;
+    let redundancy = decode_redundancy(&section(c, SECTIONS[3].0, SECTIONS[3].1)?)?;
     let [traces, trace_mispredicts, branches, branch_mispredicts, indirects, indirect_mispredicts, returns, return_mispredicts] =
-        decode_u64s::<8>(section(&mut c, SECTIONS[4].0, SECTIONS[4].1)?, "sequential")?;
+        decode_u64s::<8>(&section(c, SECTIONS[4].0, SECTIONS[4].1)?, "sequential")?;
     let seq_stats = SequentialStats {
         traces,
         trace_mispredicts,
@@ -690,17 +860,14 @@ pub fn decode(bytes: &[u8], expected: &Fingerprint) -> Result<CaptureArtifact, T
         returns,
         return_mispredicts,
     };
-    let mb = decode_u64s::<4>(
-        section(&mut c, SECTIONS[5].0, SECTIONS[5].1)?,
-        "multibranch",
-    )?;
+    let mb = decode_u64s::<4>(&section(c, SECTIONS[5].0, SECTIONS[5].1)?, "multibranch")?;
     let mb_stats = MultiBranchStats {
         traces: mb[0],
         trace_mispredicts: mb[1],
         branches: mb[2],
         branch_mispredicts: mb[3],
     };
-    let gag = decode_u64s::<4>(section(&mut c, SECTIONS[6].0, SECTIONS[6].1)?, "gag")?;
+    let gag = decode_u64s::<4>(&section(c, SECTIONS[6].0, SECTIONS[6].1)?, "gag")?;
     let gag_stats = MultiBranchStats {
         traces: gag[0],
         trace_mispredicts: gag[1],
@@ -708,7 +875,7 @@ pub fn decode(bytes: &[u8], expected: &Fingerprint) -> Result<CaptureArtifact, T
         branch_mispredicts: gag[3],
     };
     let [instrs, cond_branches, taken_branches, jumps, calls, indirect_jumps, indirect_calls, mix_returns] =
-        decode_u64s::<8>(section(&mut c, SECTIONS[7].0, SECTIONS[7].1)?, "mix")?;
+        decode_u64s::<8>(&section(c, SECTIONS[7].0, SECTIONS[7].1)?, "mix")?;
     let mix = ControlMix {
         instrs,
         cond_branches,
@@ -719,11 +886,7 @@ pub fn decode(bytes: &[u8], expected: &Fingerprint) -> Result<CaptureArtifact, T
         indirect_calls,
         returns: mix_returns,
     };
-    if c.remaining() != 0 {
-        return Err(TraceFileError::TrailingBytes {
-            extra: c.remaining(),
-        });
-    }
+    c.finish()?;
     Ok(CaptureArtifact {
         name,
         analog_of,
@@ -738,8 +901,21 @@ pub fn decode(bytes: &[u8], expected: &Fingerprint) -> Result<CaptureArtifact, T
     })
 }
 
+/// Decodes a complete in-memory `.ntc` image, validating it against the
+/// expected fingerprint.
+///
+/// # Errors
+///
+/// Any header, fingerprint, checksum, length, or value-range mismatch
+/// (see [`TraceFileError`]). On error nothing is returned — partial
+/// loads are impossible by construction.
+pub fn decode(bytes: &[u8], expected: &Fingerprint) -> Result<CaptureArtifact, TraceFileError> {
+    decode_from(Reader::slice(bytes), expected)
+}
+
 /// Reads and validates one `.ntc` file, returning the artifact and the
-/// file size in bytes.
+/// file size in bytes. The file is streamed through the same decoder as
+/// [`decode`]; the only full-size allocation is the record vector.
 ///
 /// # Errors
 ///
@@ -748,9 +924,10 @@ pub fn read_file(
     path: &Path,
     expected: &Fingerprint,
 ) -> Result<(CaptureArtifact, u64), TraceFileError> {
-    let bytes = std::fs::read(path)?;
-    let artifact = decode(&bytes, expected)?;
-    Ok((artifact, bytes.len() as u64))
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let artifact = decode_from(Reader::new(BufReader::new(file), len), expected)?;
+    Ok((artifact, len))
 }
 
 #[cfg(test)]
@@ -818,6 +995,89 @@ mod tests {
                 returns: 1,
             },
         }
+    }
+
+    /// `bytes` with section `tag`'s payload replaced and its checksum
+    /// recomputed, so only the decoder's value checks can refuse it.
+    fn with_section(bytes: &[u8], tag: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let header_len = 20 + u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+        let mut w = SectionWriter::new(Vec::new());
+        w.raw(&bytes[..header_len]).unwrap();
+        let mut pos = header_len;
+        while pos < bytes.len() {
+            let found: [u8; 4] = bytes[pos..pos + 4].try_into().unwrap();
+            let len = u64_at(pos + 4) as usize;
+            let body = &bytes[pos + 12..pos + 12 + len];
+            w.section(&found, if &found == tag { payload } else { body })
+                .unwrap();
+            pos += 12 + len + 8;
+        }
+        w.sink
+    }
+
+    #[test]
+    fn crafted_static_count_is_malformed_not_a_panic() {
+        let mut payload = vec![0u8; 6 * 8];
+        put_u64(&mut payload, 1 << 61);
+        let bytes = with_section(&encode(&fp(), &sample()), b"TSTA", &payload);
+        let err = decode(&bytes, &fp()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TraceFileError::Malformed {
+                    section: "trace_stats",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn crafted_copy_count_is_malformed_not_a_panic() {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 0); // stored_instrs
+        put_u64(&mut payload, 0); // seen count
+        put_u64(&mut payload, 1 << 61); // copy count
+        let bytes = with_section(&encode(&fp(), &sample()), b"REDN", &payload);
+        let err = decode(&bytes, &fp()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TraceFileError::Malformed {
+                    section: "redundancy",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn record_range_errors_surface_only_behind_a_valid_checksum() {
+        let a = sample();
+        let bytes = encode(&fp(), &a);
+        // A record with trace length 0, checksummed: a value-range error.
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1);
+        payload.extend_from_slice(&[0, 0, 0x40, 0, 0, 0, 0, 0]);
+        let crafted = with_section(&bytes, b"RECS", &payload);
+        assert!(matches!(
+            decode(&crafted, &fp()),
+            Err(TraceFileError::Malformed {
+                section: "records",
+                ..
+            })
+        ));
+        // The same bytes with a stale checksum: the checksum error wins.
+        let mut stale = crafted.clone();
+        let recs = crafted.windows(4).position(|w| w == b"RECS").unwrap();
+        stale[recs + 12 + payload.len()] ^= 1;
+        assert!(matches!(
+            decode(&stale, &fp()),
+            Err(TraceFileError::ChecksumMismatch { section: "records" })
+        ));
     }
 
     #[test]

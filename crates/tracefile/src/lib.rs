@@ -32,6 +32,18 @@
 //! through a same-directory temp file + rename so readers never observe a
 //! torn file.
 //!
+//! # Memory model
+//!
+//! The record stream is the only large part of an artifact, and the codec
+//! never holds a second copy of it. [`format::write_file`] encodes and
+//! checksums the `RECS` section one [`format::CHUNK_BYTES`] chunk at a
+//! time; [`format::read_file`] streams the file through the same decoder
+//! as [`format::decode`], hashing and decoding each chunk straight into an
+//! exact-capacity record vector. So a capture or a load keeps one resident
+//! record stream per benchmark, plus codec buffers bounded by the chunk
+//! size. Every length read from a file is checked against the bytes the
+//! input can still supply before anything is allocated for it.
+//!
 //! # Example
 //!
 //! ```

@@ -28,7 +28,7 @@
 //! file plus rename, so readers never observe a torn snapshot.
 
 use crate::format::{
-    decode_str, malformed, put_str, put_u32, put_u64, section, Cursor, SectionWriter,
+    array_len, decode_str, malformed, put_str, put_u32, put_u64, section, Reader, SectionWriter,
 };
 use crate::TraceFileError;
 use ntp_core::{
@@ -368,8 +368,8 @@ pub fn encode_session_wire(s: &SessionSnapshot) -> Vec<u8> {
 /// Any mismatch is a hard [`SnapshotError`]; a corrupted or
 /// version-skewed payload can never half-install.
 pub fn decode_session_wire(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
-    let mut c = Cursor::new(bytes);
-    if c.take(4, "session wire magic")? != SESSION_WIRE_MAGIC {
+    let mut c = Reader::slice(bytes);
+    if c.array::<4>("session wire magic")? != SESSION_WIRE_MAGIC {
         return Err(TraceFileError::BadMagic.into());
     }
     let version = c.u32("session wire version")?;
@@ -377,25 +377,20 @@ pub fn decode_session_wire(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotErro
         return Err(TraceFileError::BadVersion { found: version }.into());
     }
     let len = c.u32("session wire length")? as usize;
-    let payload = c.take(len, "session wire payload")?;
+    let payload = c.bytes(len, "session wire payload")?;
     let sum = c.u64("session wire checksum")?;
-    if c.remaining() != 0 {
-        return Err(TraceFileError::TrailingBytes {
-            extra: c.remaining(),
-        }
-        .into());
-    }
-    if fnv64(payload) != sum {
+    c.finish()?;
+    if fnv64(&payload) != sum {
         return Err(malformed("session wire", "payload checksum mismatch".to_string()).into());
     }
-    decode_session(payload)
+    decode_session(&payload)
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn decode_config(c: &mut Cursor<'_>) -> Result<PredictorConfig, SnapshotError> {
+fn decode_config(c: &mut Reader<&[u8]>) -> Result<PredictorConfig, SnapshotError> {
     let index_bits = c.u32("config.index_bits")?;
     let depth = c.u32("config.dolc.depth")? as usize;
     let older = c.u32("config.dolc.older")?;
@@ -446,16 +441,24 @@ fn decode_config(c: &mut Cursor<'_>) -> Result<PredictorConfig, SnapshotError> {
     Ok(cfg)
 }
 
-fn take_u16s(c: &mut Cursor<'_>, n: usize, what: &'static str) -> Result<Vec<u16>, TraceFileError> {
-    let bytes = c.take(n * 2, what)?;
+fn take_u16s(
+    c: &mut Reader<&[u8]>,
+    n: usize,
+    what: &'static str,
+) -> Result<Vec<u16>, TraceFileError> {
+    let bytes = c.bytes(array_len(n, 2, "session", what)?, what)?;
     Ok(bytes
         .chunks_exact(2)
         .map(|b| u16::from_le_bytes([b[0], b[1]]))
         .collect())
 }
 
-fn take_u64s(c: &mut Cursor<'_>, n: usize, what: &'static str) -> Result<Vec<u64>, TraceFileError> {
-    let bytes = c.take(n * 8, what)?;
+fn take_u64s(
+    c: &mut Reader<&[u8]>,
+    n: usize,
+    what: &'static str,
+) -> Result<Vec<u64>, TraceFileError> {
+    let bytes = c.bytes(array_len(n, 8, "session", what)?, what)?;
     Ok(bytes
         .chunks_exact(8)
         .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
@@ -463,7 +466,7 @@ fn take_u64s(c: &mut Cursor<'_>, n: usize, what: &'static str) -> Result<Vec<u64
 }
 
 fn decode_session(payload: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::slice(payload);
     let session_id = c.u64("session id")?;
     let config = decode_config(&mut c)?;
 
@@ -487,7 +490,7 @@ fn decode_session(payload: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
         })?;
     let corr_words = corr_n.div_ceil(64);
     let corr_tags = take_u16s(&mut c, corr_n, "corr tags")?;
-    let corr_ctrs = c.take(corr_n, "corr counters")?.to_vec();
+    let corr_ctrs = c.bytes(corr_n, "corr counters")?;
     let corr_targets = take_u64s(&mut c, corr_n, "corr targets")?;
     let corr_alts = take_u64s(&mut c, corr_n, "corr alternates")?;
     let corr_valid = take_u64s(&mut c, corr_words, "corr valid bitmap")?;
@@ -507,7 +510,7 @@ fn decode_session(payload: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
             )
         })?;
     let sec_targets = take_u64s(&mut c, sec_n, "sec targets")?;
-    let sec_ctrs = c.take(sec_n, "sec counters")?.to_vec();
+    let sec_ctrs = c.bytes(sec_n, "sec counters")?;
     let sec_valid = take_u64s(&mut c, sec_n.div_ceil(64), "sec valid bitmap")?;
 
     let history_len = c.u32("history length")? as usize;
@@ -581,8 +584,8 @@ fn decode_session(payload: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
 /// configuration when applied ([`SessionSnapshot::instantiate`] /
 /// [`SessionSnapshot::restore_into`]).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotArtifact, SnapshotError> {
-    let mut c = Cursor::new(bytes);
-    if c.take(4, "magic")? != SNAPSHOT_MAGIC {
+    let mut c = Reader::slice(bytes);
+    if c.array::<4>("magic")? != SNAPSHOT_MAGIC {
         return Err(TraceFileError::BadMagic.into());
     }
     let version = c.u32("snapshot version")?;
@@ -597,14 +600,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotArtifact, SnapshotError> 
     let count = c.u32("session count")? as usize;
     let mut sessions = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        sessions.push(decode_session(section(&mut c, b"SESS", "session")?)?);
+        sessions.push(decode_session(&section(&mut c, b"SESS", "session")?)?);
     }
-    if c.remaining() != 0 {
-        return Err(TraceFileError::TrailingBytes {
-            extra: c.remaining(),
-        }
-        .into());
-    }
+    c.finish()?;
     // The header fingerprint must agree with what the sessions actually
     // contain (it was hashed-checked above, so this catches a header that
     // was transplanted onto a different body).
@@ -758,6 +756,25 @@ mod tests {
                 extra: 1
             }))
         ));
+    }
+
+    #[test]
+    fn crafted_u16_count_is_malformed_not_a_panic() {
+        let bytes = [0u8; 16];
+        let err = take_u16s(&mut Reader::slice(&bytes), usize::MAX / 2 + 1, "history").unwrap_err();
+        assert!(matches!(err, TraceFileError::Malformed { .. }), "{err}");
+    }
+
+    #[test]
+    fn crafted_u64_count_is_malformed_not_a_panic() {
+        let bytes = [0u8; 16];
+        let err = take_u64s(
+            &mut Reader::slice(&bytes),
+            usize::MAX / 8 + 1,
+            "corr targets",
+        )
+        .unwrap_err();
+        assert!(matches!(err, TraceFileError::Malformed { .. }), "{err}");
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //!
 //! The invariant under test is the crate's central promise: a `.ntc` file
 //! either decodes to *exactly* what was stored, or it is refused with a
-//! hard [`TraceFileError`] — never a partial or silently-wrong load.
+//! hard [`TraceFileError`] — never a partial or silently-wrong load. The
+//! corruption sweeps run every image through both entry points, the
+//! in-memory [`decode`] and the streaming [`read_file`], and require the
+//! same verdict from each.
 
 use ntp_baselines::{MultiBranchStats, SequentialStats};
 use ntp_trace::{ControlMix, RedundancyRaw, TraceConfig, TraceStatsRaw};
-use ntp_tracefile::format::{decode, encode};
-use ntp_tracefile::{CaptureArtifact, Fingerprint, TraceFileError, FORMAT_VERSION};
+use ntp_tracefile::format::{decode, encode, read_file, write_file, CHUNK_BYTES};
+use ntp_tracefile::{fnv64, CaptureArtifact, Fingerprint, TraceFileError, FORMAT_VERSION};
 use ntp_verify::XorShift64;
+use std::path::PathBuf;
 
 use ntp_trace::{TraceId, TraceRecord};
 
@@ -128,6 +132,43 @@ fn gen_fingerprint(rng: &mut XorShift64) -> Fingerprint {
     )
 }
 
+/// A scratch `.ntc` path, removed on drop. Tests run in parallel, so each
+/// names its own.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(test: &str) -> TempFile {
+        TempFile(std::env::temp_dir().join(format!("ntc-props-{test}-{}.ntc", std::process::id())))
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Decodes `bytes` through [`decode`] and, written to `file`, through
+/// [`read_file`]; both must reach the same verdict, which is returned.
+fn decode_both(
+    file: &TempFile,
+    bytes: &[u8],
+    fp: &Fingerprint,
+) -> Result<CaptureArtifact, TraceFileError> {
+    let from_slice = decode(bytes, fp);
+    std::fs::write(&file.0, bytes).expect("write scratch file");
+    let from_file = read_file(&file.0, fp).map(|(a, n)| {
+        assert_eq!(n, bytes.len() as u64, "read_file reports the file size");
+        a
+    });
+    match (&from_slice, &from_file) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "slice and file decode differently"),
+        (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "different errors"),
+        (a, b) => panic!("slice decode {a:?} but file decode {b:?}"),
+    }
+    from_slice
+}
+
 /// Positive control + determinism: random artifacts encode the same bytes
 /// every time and decode back to exactly the stored value.
 #[test]
@@ -167,14 +208,15 @@ fn every_single_bit_flip_is_refused() {
         let fp = gen_fingerprint(&mut rng);
         let artifact = gen_artifact(&mut rng);
         let bytes = encode(&fp, &artifact);
+        let file = TempFile::new(&format!("flip{seed}"));
         // Positive control first: the pristine bytes decode.
-        decode(&bytes, &fp).expect("pristine bytes decode");
+        decode_both(&file, &bytes, &fp).expect("pristine bytes decode");
         let mut mutated = bytes.clone();
         for i in 0..mutated.len() {
             for bit in 0..8 {
                 mutated[i] ^= 1 << bit;
                 assert!(
-                    decode(&mutated, &fp).is_err(),
+                    decode_both(&file, &mutated, &fp).is_err(),
                     "seed {seed}: flip of byte {i} bit {bit} was not detected"
                 );
                 mutated[i] ^= 1 << bit; // restore
@@ -191,9 +233,10 @@ fn every_truncation_is_refused() {
     let fp = gen_fingerprint(&mut rng);
     let artifact = gen_artifact(&mut rng);
     let bytes = encode(&fp, &artifact);
+    let file = TempFile::new("truncation");
     for cut in 0..bytes.len() {
         assert!(
-            decode(&bytes[..cut], &fp).is_err(),
+            decode_both(&file, &bytes[..cut], &fp).is_err(),
             "truncation to {cut}/{} bytes was not detected",
             bytes.len()
         );
@@ -207,11 +250,97 @@ fn trailing_garbage_is_refused() {
     let fp = gen_fingerprint(&mut rng);
     let artifact = gen_artifact(&mut rng);
     let mut bytes = encode(&fp, &artifact);
-    bytes.push(0);
-    match decode(&bytes, &fp) {
-        Err(TraceFileError::TrailingBytes { extra }) => assert_eq!(extra, 1),
-        other => panic!("expected TrailingBytes, got {other:?}"),
+    let file = TempFile::new("trailing");
+    for extra in 1..=9 {
+        bytes.push(0);
+        match decode_both(&file, &bytes, &fp) {
+            Err(TraceFileError::TrailingBytes { extra: found }) => assert_eq!(found, extra),
+            other => panic!("expected TrailingBytes, got {other:?}"),
+        }
     }
+}
+
+/// A fixed artifact whose record stream spans four codec chunks: three
+/// full ones and a partial one (24 676 records, 197 408 bytes).
+fn multi_chunk_artifact() -> (Fingerprint, CaptureArtifact) {
+    let mut rng = XorShift64::new(0xC4A2_7E55);
+    let fp = gen_fingerprint(&mut rng);
+    let mut artifact = gen_artifact(&mut rng);
+    artifact.records = (0..24_676).map(|_| gen_record(&mut rng)).collect();
+    (fp, artifact)
+}
+
+/// Offset of the first record byte in an encoded image of `artifact`:
+/// just past the `RECS` tag, its length field and the record count.
+fn records_offset(bytes: &[u8], artifact: &CaptureArtifact) -> usize {
+    let mut head = b"RECS".to_vec();
+    head.extend_from_slice(&(8 + 8 * artifact.records.len() as u64).to_le_bytes());
+    let tag = bytes
+        .windows(head.len())
+        .position(|w| w == head)
+        .expect("RECS section present");
+    tag + head.len() + 8
+}
+
+/// A record stream larger than the codec's chunk round-trips bit-exactly
+/// through memory and through a file, and a flip at every chunk boundary
+/// (and at a seeded sample of other offsets) is refused by both decoders.
+#[test]
+fn multi_chunk_artifact_round_trips_and_refuses_flips() {
+    let (fp, artifact) = multi_chunk_artifact();
+    let bytes = encode(&fp, &artifact);
+    let first = records_offset(&bytes, &artifact);
+    let end = first + 8 * artifact.records.len();
+    assert!(
+        end - first > 3 * CHUNK_BYTES,
+        "must span at least four chunks"
+    );
+
+    let file = TempFile::new("multichunk");
+    assert_eq!(
+        decode_both(&file, &bytes, &fp).expect("round-trip"),
+        artifact
+    );
+    assert_eq!(
+        write_file(&file.0, &fp, &artifact).expect("write_file"),
+        bytes.len() as u64
+    );
+    assert_eq!(
+        std::fs::read(&file.0).expect("read back"),
+        bytes,
+        "the file writer streams exactly the in-memory encoding"
+    );
+
+    let mut offsets: Vec<usize> = (first..end)
+        .step_by(CHUNK_BYTES)
+        .chain([end])
+        .flat_map(|b| [b - 1, b])
+        .collect();
+    let mut rng = XorShift64::new(0x5EED_0FF5);
+    offsets.extend((0..48).map(|_| rng.below(bytes.len() as u64) as usize));
+    let mut mutated = bytes.clone();
+    for &i in &offsets {
+        for bit in 0..8 {
+            mutated[i] ^= 1 << bit;
+            assert!(
+                decode_both(&file, &mutated, &fp).is_err(),
+                "flip of byte {i} bit {bit} was not detected"
+            );
+            mutated[i] ^= 1 << bit;
+        }
+    }
+}
+
+/// Pins format version 1: the encoding of a fixed multi-chunk artifact
+/// must never change. A deliberate layout change bumps `FORMAT_VERSION`
+/// and this value together.
+#[test]
+fn format_v1_encoding_is_pinned() {
+    let (fp, artifact) = multi_chunk_artifact();
+    let bytes = encode(&fp, &artifact);
+    assert_eq!(FORMAT_VERSION, 1);
+    assert_eq!(bytes.len(), 198_296);
+    assert_eq!(fnv64(&bytes), 0x469c_23b8_777d_96df);
 }
 
 /// A file written under any other format version must be refused even if

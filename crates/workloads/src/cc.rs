@@ -229,11 +229,21 @@ fn reference(input: &[u8], rounds: u32) -> Vec<u32> {
     out
 }
 
+/// The source text every build parses.
+fn input() -> Vec<u8> {
+    make_input(600, 0xDEAD_0042)
+}
+
+/// The expected output of a `rounds`-round build.
+fn expected(rounds: u32) -> Vec<u32> {
+    reference(&input(), rounds)
+}
+
 /// Builds the workload; `rounds` scales run length (~350K instructions per
 /// round).
 pub fn build(rounds: u32) -> Workload {
     assert!(rounds >= 1);
-    let input = make_input(600, 0xDEAD_0042);
+    let input = input();
     let src = format!(
         "
 ; cc — recursive-descent expression compiler + bytecode VM verifier
@@ -476,7 +486,8 @@ input:
         analog_of: "SpecInt95 gcc (input: 600 generated expression statements)",
         description: "recursive-descent parser emitting bytecode, verified by a stack VM",
         program,
-        expected_output: reference(&input, rounds),
+        rounds,
+        reference: expected,
     }
 }
 
@@ -488,7 +499,7 @@ mod tests {
     fn matches_reference_small() {
         let w = build(2);
         let out = w.run_to_halt(20_000_000);
-        assert_eq!(out, w.expected_output);
+        assert_eq!(out, w.expected_output());
     }
 
     #[test]

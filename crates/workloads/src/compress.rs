@@ -79,11 +79,21 @@ fn reference(input: &[u8], rounds: u32) -> Vec<u32> {
     out
 }
 
+/// The byte stream every build compresses.
+fn input() -> Vec<u8> {
+    make_input(4096, 0xC0FF_EE01)
+}
+
+/// The expected output of a `rounds`-round build.
+fn expected(rounds: u32) -> Vec<u32> {
+    reference(&input(), rounds)
+}
+
 /// Builds the workload; `rounds` scales run length (~100K instructions per
 /// round).
 pub fn build(rounds: u32) -> Workload {
     assert!(rounds >= 1);
-    let input = make_input(4096, 0xC0FF_EE01);
+    let input = input();
     let n = input.len() as u32;
     let src = format!(
         "
@@ -175,7 +185,8 @@ table:  .space {table_bytes}
         analog_of: "SpecInt95 compress (input: synthetic text, LZW kernel)",
         description: "LZW hash-probe compression over a skewed byte stream",
         program,
-        expected_output: reference(&input, rounds),
+        rounds,
+        reference: expected,
     }
 }
 
@@ -187,7 +198,7 @@ mod tests {
     fn matches_reference_small() {
         let w = build(2);
         let out = w.run_to_halt(10_000_000);
-        assert_eq!(out, w.expected_output);
+        assert_eq!(out, w.expected_output());
         assert_eq!(out.len(), 3); // 2 round checksums + final next_code
     }
 

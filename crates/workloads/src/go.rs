@@ -445,7 +445,8 @@ board:  .space {total}
         analog_of: "SpecInt95 go (input: seeded 15x15 positions, 25 moves/round)",
         description: "influence-map board evaluation with unrolled direction scans",
         program,
-        expected_output: reference(rounds),
+        rounds,
+        reference,
     }
 }
 
@@ -457,14 +458,14 @@ mod tests {
     fn matches_reference_small() {
         let w = build(1);
         let out = w.run_to_halt(20_000_000);
-        assert_eq!(out, w.expected_output);
+        assert_eq!(out, w.expected_output());
     }
 
     #[test]
     fn multiple_rounds_progress() {
         let w = build(2);
         let out = w.run_to_halt(40_000_000);
-        assert_eq!(out, w.expected_output);
+        assert_eq!(out, w.expected_output());
         assert_ne!(out[0], out[1]);
     }
 

@@ -249,7 +249,8 @@ freq:   .space 256
         analog_of: "SpecInt95 ijpeg (input: LCG-generated 8x8 blocks)",
         description: "integer DCT, quantization, zigzag RLE per block",
         program,
-        expected_output: reference(rounds),
+        rounds,
+        reference,
     }
 }
 
@@ -261,7 +262,7 @@ mod tests {
     fn matches_reference_small() {
         let w = build(3);
         let out = w.run_to_halt(10_000_000);
-        assert_eq!(out, w.expected_output);
+        assert_eq!(out, w.expected_output());
     }
 
     #[test]

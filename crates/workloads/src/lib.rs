@@ -24,7 +24,7 @@
 //! use ntp_workloads::compress;
 //! let w = compress::build(1);
 //! let out = w.run_to_halt(10_000_000);
-//! assert_eq!(out, w.expected_output);
+//! assert_eq!(out, w.expected_output());
 //! ```
 
 #![warn(missing_docs)]
@@ -40,7 +40,8 @@ pub mod xlisp;
 use ntp_isa::Program;
 use ntp_sim::Machine;
 
-/// A benchmark program plus its expected output.
+/// A benchmark program plus the reference that computes its expected
+/// output.
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// Short name, matching the paper's benchmark table.
@@ -51,12 +52,21 @@ pub struct Workload {
     pub description: &'static str,
     /// The assembled program.
     pub program: Program,
-    /// The `out` values a complete run must produce (from the Rust
-    /// reference implementation).
-    pub expected_output: Vec<u32>,
+    /// The round count the program was built with.
+    rounds: u32,
+    /// The Rust reference implementation, from a round count to the `out`
+    /// values a complete run must produce. Run on demand only, so building
+    /// a workload does not pay for it.
+    reference: fn(u32) -> Vec<u32>,
 }
 
 impl Workload {
+    /// The `out` values a complete run must produce, computed by the Rust
+    /// reference implementation.
+    pub fn expected_output(&self) -> Vec<u32> {
+        (self.reference)(self.rounds)
+    }
+
     /// A fresh machine loaded with this workload.
     pub fn machine(&self) -> Machine {
         Machine::new(self.program.clone())

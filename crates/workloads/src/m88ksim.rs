@@ -177,6 +177,11 @@ fn reference(prog: &[u32], rounds: u32) -> Vec<u32> {
     out
 }
 
+/// The expected output of a `rounds`-round build.
+fn expected(rounds: u32) -> Vec<u32> {
+    reference(&guest_program(), rounds)
+}
+
 /// Builds the workload; `rounds` scales run length (~150K instructions per
 /// round).
 pub fn build(rounds: u32) -> Workload {
@@ -354,7 +359,8 @@ optable:
         analog_of: "SpecInt95 m88ksim (guest VM: sort + fib + gcd + hash)",
         description: "ISA interpreter with jump-table dispatch per guest instruction",
         program,
-        expected_output: reference(&prog, rounds),
+        rounds,
+        reference: expected,
     }
 }
 
@@ -385,7 +391,7 @@ mod tests {
     fn matches_reference_small() {
         let w = build(2);
         let out = w.run_to_halt(20_000_000);
-        assert_eq!(out, w.expected_output);
+        assert_eq!(out, w.expected_output());
     }
 
     #[test]

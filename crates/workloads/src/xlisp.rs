@@ -134,11 +134,21 @@ fn reference(f: &Forest, rounds: u32) -> Vec<u32> {
     out
 }
 
+/// The expression forest every build evaluates.
+fn forest() -> Forest {
+    make_forest(8, 0x715F)
+}
+
+/// The expected output of a `rounds`-round build.
+fn expected(rounds: u32) -> Vec<u32> {
+    reference(&forest(), rounds)
+}
+
 /// Builds the workload; `rounds` scales run length (~200K instructions per
 /// round).
 pub fn build(rounds: u32) -> Workload {
     assert!(rounds >= 1);
-    let forest = make_forest(8, 0x715F);
+    let forest = forest();
     let node_words: Vec<u32> = forest.nodes.iter().flat_map(|n| [n.op, n.a, n.b]).collect();
     let n_leaves = forest.leaves.len() as u32;
     let n_roots = forest.roots.len() as u32;
@@ -278,7 +288,8 @@ roots:
             "SpecInt95 xlisp (input: 8 random expression trees, leaves reseeded every 4th round)",
         description: "deeply recursive tree evaluation with data-dependent operators",
         program,
-        expected_output: reference(&forest, rounds),
+        rounds,
+        reference: expected,
     }
 }
 
@@ -298,7 +309,7 @@ mod tests {
     fn matches_reference_small() {
         let w = build(2);
         let out = w.run_to_halt(30_000_000);
-        assert_eq!(out, w.expected_output);
+        assert_eq!(out, w.expected_output());
     }
 
     #[test]

@@ -22,7 +22,8 @@ fn tiny_scale_outputs_are_pinned() {
     for (w, (name, expect)) in suite(ScalePreset::Tiny).iter().zip(&golden) {
         assert_eq!(w.name, *name);
         assert_eq!(
-            &w.expected_output, expect,
+            &w.expected_output(),
+            expect,
             "{name}: reference output drifted — if intentional, update this \
              golden list AND regenerate EXPERIMENTS.md"
         );

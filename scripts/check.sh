@@ -82,7 +82,10 @@ trap 'rm -rf "$out_a" "$out_b" "$cache_dir" "$out_cold" "$out_warm"' EXIT
 # skip the simulate phase, and emit byte-identical stdout and stripped JSON.
 NTP_SCALE=tiny NTP_DETERMINISTIC=1 NTP_THREADS=1 NTP_TRACE_CACHE="$cache_dir" \
     cargo run --release -q -p ntp-bench --bin experiments -- --json "$out_cold" \
-    >"$out_cold/stdout.txt"
+    >"$out_cold/stdout.txt" 2>"$out_cold/stderr.txt"
+# The capture summary line reports the process's peak resident set.
+grep -q '^\[capture\] suite done: .*, peak RSS [0-9.]* MiB$' "$out_cold/stderr.txt" \
+    || { echo "capture summary lacks the peak RSS"; exit 1; }
 NTP_SCALE=tiny NTP_DETERMINISTIC=1 NTP_THREADS=1 NTP_TRACE_CACHE="$cache_dir" \
     cargo run --release -q -p ntp-bench --bin experiments -- --json "$out_warm" \
     >"$out_warm/stdout.txt"
@@ -105,6 +108,18 @@ jq -e '.throughput.trace_cache.hits >= 1 and .throughput.trace_cache.misses == 0
        and (.phases_ms.simulate == null or .phases_ms.simulate == 0)' \
     "$out_warm"/BENCH_compress.json >/dev/null \
     || { echo "warm run did not load from the cache"; exit 1; }
+# The chunked .ntc writer is deterministic: a second cold capture into
+# another directory writes byte-identical files.
+cache_again="$out_cold/cache-again"
+NTP_SCALE=tiny cargo run --release -q -p ntp-cli -- capture --dir "$cache_again" >/dev/null 2>&1
+compared=0
+for f in "$cache_again"/*.ntc; do
+    cmp "$f" "$cache_dir/$(basename "$f")" \
+        || { echo "cold captures wrote different $(basename "$f")"; exit 1; }
+    compared=$((compared + 1))
+done
+[ "$compared" -ge 6 ] || { echo "second capture wrote only $compared .ntc files"; exit 1; }
+echo "two cold captures wrote $compared byte-identical .ntc files"
 cold_ms=$(jq '.phases_ms.simulate' "$out_cold"/BENCH_compress.json)
 warm_ms=$(jq '.phases_ms.cache_load // 0' "$out_warm"/BENCH_compress.json)
 echo "cold simulate ${cold_ms} ms vs warm cache_load ${warm_ms} ms"

@@ -22,7 +22,7 @@ fn workload_builds_are_reproducible() {
         .zip(suite(ScalePreset::Tiny))
     {
         assert_eq!(a.program, b.program, "{}", a.name);
-        assert_eq!(a.expected_output, b.expected_output, "{}", a.name);
+        assert_eq!(a.expected_output(), b.expected_output(), "{}", a.name);
     }
 }
 
@@ -33,7 +33,7 @@ fn simulation_and_selection_are_reproducible() {
         let (r2, o2) = capture(&w);
         assert_eq!(r1, r2, "{}", w.name);
         assert_eq!(o1, o2, "{}", w.name);
-        assert_eq!(o1, w.expected_output, "{}: self-check", w.name);
+        assert_eq!(o1, w.expected_output(), "{}: self-check", w.name);
     }
 }
 
