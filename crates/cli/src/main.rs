@@ -702,7 +702,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         cfg.max_conns = max_conns as usize;
     }
     if let Some(threads) = flag_value(rest, "--event-threads")? {
-        // 0 explicitly selects the blocking thread-per-connection frontend.
         cfg.event_threads = threads as usize;
     }
     if let Some(depth) = flag_value(rest, "--queue-depth")? {

@@ -56,6 +56,13 @@ fn bad_flag_values_are_refused() {
     let out = ntp(&["serve", "--addr", "127.0.0.1:0", "--workers", "0"]);
     assert!(!out.status.success());
     assert!(diagnostic(&out).contains("workers"));
+
+    // The epoll loops are the only frontend, so zero of them is refused
+    // the same way, on exactly one line.
+    let out = ntp(&["serve", "--addr", "127.0.0.1:0", "--event-threads", "0"]);
+    assert!(!out.status.success());
+    assert!(diagnostic(&out).contains("event_threads"));
+    assert_eq!(String::from_utf8_lossy(&out.stderr).lines().count(), 1);
 }
 
 /// `ntp serve` on a port something else already owns: nonzero exit and a

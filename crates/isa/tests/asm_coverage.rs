@@ -198,29 +198,3 @@ fn data_alignment_behaviour() {
     assert_eq!(p.symbol("b").unwrap() % 4, 0);
     assert_eq!(p.symbol("c").unwrap() % 8, 0);
 }
-
-/// Property-based coverage; compiled only with `--features proptest` (the
-/// dev-dependency is gated so the offline tier-1 build needs no registry).
-#[cfg(feature = "proptest")]
-mod props {
-    use super::decode;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The decoder never panics, whatever the word.
-        #[test]
-        fn decode_total(word in any::<u32>()) {
-            let _ = decode(word);
-        }
-
-        /// If a word decodes, re-encoding reproduces it or a canonical
-        /// equivalent that decodes to the same instruction.
-        #[test]
-        fn decode_encode_stable(word in any::<u32>()) {
-            if let Ok(i) = decode(word) {
-                let w2 = ntp_isa::encode(&i);
-                prop_assert_eq!(decode(w2), Ok(i));
-            }
-        }
-    }
-}

@@ -1,37 +1,36 @@
-//! The event-driven connection frontend: a fixed set of epoll readiness
-//! loops multiplexing every accepted socket (Linux only).
+//! The connection frontend: a fixed set of epoll readiness loops
+//! multiplexing every accepted socket.
 //!
-//! The blocking frontend spends one thread per connection, parked in
-//! `read_frame`. This module replaces that with `event_threads`
-//! nonblocking loops: the acceptor hands sockets to a [`ConnRouter`],
-//! each loop owns its connections outright (no locks on any per-
-//! connection state), and a [`crate::poll::WakeFd`] lets shard workers
-//! poke the loop when a reply is ready. The shard plane is untouched —
-//! decoded frames route into the same bounded queues, replies come back
-//! as [`Completion`]s tagged `(conn, seq)` so the loop can restore the
-//! strict request order on the wire no matter how shards interleave.
+//! `event_threads` nonblocking loops serve every connection: the
+//! acceptor hands sockets to a [`ConnRouter`], each loop owns its
+//! connections outright (no locks on any per-connection state), and a
+//! [`WakeFd`] lets shard workers poke the loop when a reply is ready.
+//! Decoded frames route into the shards' bounded queues, replies come
+//! back as [`Completion`]s tagged `(conn, seq)` so the loop can restore
+//! the strict request order on the wire no matter how shards interleave.
 //!
 //! Mechanics worth naming:
 //!
 //! * **Frame reassembly.** Reads land in a [`wire::FrameAssembler`]; a
 //!   frame split across any number of reads (or many frames packed into
-//!   one read) decodes identically to the blocking reader, including
-//!   its oversized-resync and poisoning semantics. Reads that end
-//!   mid-frame count `conn.partial_reads`.
+//!   one read) decodes identically to the blocking [`wire::read_frame`],
+//!   including its oversized-resync and poisoning semantics. Reads that
+//!   end mid-frame count `conn.partial_reads`.
 //! * **Pipelining + coalescing.** A client may write many frames
 //!   without waiting. Consecutive same-session frames decoded from one
 //!   read burst are coalesced into a single [`Job::Run`] — one queue
 //!   slot, one shard wakeup — which is exactly the feeding pattern the
-//!   shard's batched drain wants. Replies still come back one frame per
-//!   request, in request order (`next_write`/`pending` reordering).
+//!   shard's batched drain wants; a lone frame is a run of one. Replies
+//!   still come back one frame per request, in request order
+//!   (`next_write`/`pending` reordering).
 //! * **Write backpressure.** Replies append to a per-connection buffer
 //!   flushed opportunistically; a short write arms `EPOLLOUT` and the
 //!   loop finishes the flush when the socket drains, so one slow reader
 //!   never blocks the loop.
 //! * **Shutdown.** The acceptor holds the only [`ConnRouter`]; when it
 //!   exits the injection channels disconnect, and each loop runs its
-//!   remaining connections dry before exiting — the same drain story as
-//!   the blocking frontend, without a shutdown race on late accepts.
+//!   remaining connections dry before exiting — no shutdown race on
+//!   late accepts.
 //!
 //! Shards never wait on a loop (completions ride an unbounded channel),
 //! so a loop calling into `Hub::collect` for an inline `Metrics` frame
@@ -39,7 +38,7 @@
 
 use crate::config::ServeConfig;
 use crate::poll::{Epoll, Event, WakeFd};
-use crate::server::{note_sockopt, Completion, Hub, Job, LoopShared, ReplySink};
+use crate::server::{note_sockopt, Completion, Hub, Job, ReplySink};
 use crate::wire::{self, ErrorCode, FrameAssembler, FrameEvent, Request, Response, WireError};
 use ntp_telemetry::ToJson;
 use std::collections::{HashMap, HashSet};
@@ -72,16 +71,16 @@ const READ_CHUNK: usize = 64 << 10;
 /// which is each loop's signal that no new connection can ever arrive.
 pub(crate) struct ConnRouter {
     targets: Vec<(mpsc::Sender<TcpStream>, Arc<WakeFd>)>,
-    rr: AtomicUsize,
+    rr: usize,
 }
 
 impl ConnRouter {
     /// Hands a socket to the next loop and wakes it. False only when
     /// every loop is gone (teardown).
-    pub(crate) fn inject(&self, stream: TcpStream) -> bool {
+    pub(crate) fn inject(&mut self, mut stream: TcpStream) -> bool {
         let n = self.targets.len();
-        let start = self.rr.fetch_add(1, Ordering::Relaxed);
-        let mut stream = stream;
+        let start = self.rr;
+        self.rr = self.rr.wrapping_add(1);
         for k in 0..n {
             let (tx, wake) = &self.targets[(start + k) % n];
             match tx.send(stream) {
@@ -96,14 +95,14 @@ impl ConnRouter {
     }
 }
 
-/// Spawns `n` event-loop threads and the router that feeds them.
+/// Spawns `cfg.event_threads` event-loop threads and the router that
+/// feeds them.
 pub(crate) fn spawn(
-    n: usize,
     cfg: &ServeConfig,
     hub: &Arc<Hub>,
     active_conns: &Arc<AtomicUsize>,
-    loops: &Arc<[LoopShared]>,
-) -> Result<(Arc<ConnRouter>, Vec<JoinHandle<()>>), String> {
+) -> Result<(ConnRouter, Vec<JoinHandle<()>>), String> {
+    let n = cfg.event_threads;
     let mut targets = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
     for i in 0..n {
@@ -113,23 +112,16 @@ pub(crate) fn spawn(
         let cfg = cfg.clone();
         let hub = Arc::clone(hub);
         let active_conns = Arc::clone(active_conns);
-        let loops = Arc::clone(loops);
         let wake2 = Arc::clone(&wake);
         handles.push(
             std::thread::Builder::new()
                 .name(format!("ntp-serve-loop-{i}"))
-                .spawn(move || run_loop(cfg, hub, active_conns, loops, i, wake2, inject_rx))
+                .spawn(move || run_loop(cfg, hub, active_conns, i, wake2, inject_rx))
                 .map_err(|e| format!("serve: cannot spawn event loop: {e}"))?,
         );
         targets.push((inject_tx, wake));
     }
-    Ok((
-        Arc::new(ConnRouter {
-            targets,
-            rr: AtomicUsize::new(0),
-        }),
-        handles,
-    ))
+    Ok((ConnRouter { targets, rr: 0 }, handles))
 }
 
 /// One multiplexed connection: read side (assembler), write side
@@ -242,7 +234,6 @@ fn run_loop(
     cfg: ServeConfig,
     hub: Arc<Hub>,
     active_conns: Arc<AtomicUsize>,
-    loops: Arc<[LoopShared]>,
     loop_idx: usize,
     wake: Arc<WakeFd>,
     inject_rx: Receiver<TcpStream>,
@@ -259,7 +250,7 @@ fn run_loop(
         eprintln!("[serve] event loop {loop_idx}: cannot register eventfd: {e}");
         return;
     }
-    let ls = &loops[loop_idx];
+    let ls = &hub.loops[loop_idx];
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut inject_open = true;
@@ -355,8 +346,10 @@ fn run_loop(
         }
 
         // Idle sweep on quiet ticks: a peer with nothing in flight that
-        // has been silent past the read timeout is dropped, exactly as
-        // the blocking frontend's socket read timeout would.
+        // has been silent past the read timeout is dropped. A peer that
+        // stops reading counts as silent too: `idle()` only asks whether
+        // every reply is encoded, and `last_activity` moves only on reads
+        // and on writes the socket accepted.
         if events.is_empty() && !conns.is_empty() {
             let now = Instant::now();
             let expired: Vec<u64> = conns
@@ -440,14 +433,15 @@ fn read_socket(conn: &mut Conn) {
     }
 }
 
-/// Decodes every complete frame buffered on `conn`, mirroring the
-/// blocking `connection_loop` exactly: same error codes, same counters,
-/// same inline handling of `Shutdown` and `Metrics`. Consecutive
-/// same-session routed requests coalesce into one [`Job::Run`]. Returns
-/// the number of frames decoded (for `loop.frames_per_wakeup`).
+/// Decodes every complete frame buffered on `conn`. Wire-level refusals
+/// (`Oversized`, `BadFrame`, `BadRequest`) are answered in place and
+/// counted as protocol errors; `Shutdown` and `Metrics` are answered
+/// inline; consecutive same-session routed requests coalesce into one
+/// [`Job::Run`]. Returns the number of frames decoded (for
+/// `loop.frames_per_wakeup`).
 fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
     let mut frames = 0usize;
-    let mut run: Vec<(Request, ReplySink)> = Vec::new();
+    let mut run: Vec<(u64, Request)> = Vec::new();
     let mut run_session = 0u64;
     while let Some(event) = conn.asm.next(ctx.cfg.max_frame) {
         frames += 1;
@@ -507,14 +501,14 @@ fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
                         // In-flight work first: requests decoded before
                         // the Shutdown still get served, and their
                         // replies precede the Bye on the wire.
-                        flush_run(ctx, conn, &mut run, run_session);
+                        flush_run(ctx, conn, token, &mut run, run_session);
                         ctx.hub.drain.trigger();
                         conn.complete(seq, Response::Bye);
                         conn.close_after_flush = true;
                         break; // Anything after a Shutdown is discarded.
                     }
                     Ok(Request::Metrics) => {
-                        flush_run(ctx, conn, &mut run, run_session);
+                        flush_run(ctx, conn, token, &mut run, run_session);
                         let json = ctx.hub.collect().to_json().render();
                         conn.complete(seq, Response::Metrics { json });
                     }
@@ -522,79 +516,60 @@ fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
                         let session = req.session().expect("routed requests name a session");
                         if !run.is_empty() && (session != run_session || run.len() >= MAX_COALESCE)
                         {
-                            flush_run(ctx, conn, &mut run, run_session);
+                            flush_run(ctx, conn, token, &mut run, run_session);
                         }
                         run_session = session;
-                        run.push((
-                            req,
-                            ReplySink::Event {
-                                tx: ctx.done_tx.clone(),
-                                wake: Arc::clone(ctx.wake),
-                                conn: token,
-                                seq,
-                            },
-                        ));
+                        run.push((seq, req));
                     }
                 }
             }
         }
     }
-    flush_run(ctx, conn, &mut run, run_session);
+    flush_run(ctx, conn, token, &mut run, run_session);
     frames
 }
 
-/// Enqueues a pending run on its owning shard: one [`Job::Request`] for
-/// a single request, one [`Job::Run`] for a coalesced burst — either
-/// way one queue slot and one depth increment, matching the shard's one
-/// decrement per job. A full queue answers `Busy` per request (counted
-/// per request, exactly like the blocking frontend); a disconnected
-/// queue answers `Draining`.
-fn flush_run(ctx: &Ctx, conn: &mut Conn, run: &mut Vec<(Request, ReplySink)>, session: u64) {
+/// Enqueues a pending run on its owning shard as one [`Job::Run`]: one
+/// queue slot and one depth increment, matching the shard's one
+/// decrement per job. A full queue answers `Busy` per request (and
+/// counts each one); a disconnected queue answers `Draining`.
+fn flush_run(ctx: &Ctx, conn: &mut Conn, token: u64, run: &mut Vec<(u64, Request)>, session: u64) {
     if run.is_empty() {
         return;
     }
-    let entries = std::mem::take(run);
-    let n = entries.len() as u64;
+    let n = run.len() as u64;
     let shard = (session % ctx.hub.senders.len() as u64) as usize;
-    let job = if entries.len() == 1 {
-        let (req, reply) = entries.into_iter().next().expect("one entry");
-        Job::Request { req, reply }
-    } else {
-        Job::Run { session, entries }
+    let job = Job::Run {
+        session,
+        reply: ReplySink {
+            tx: ctx.done_tx.clone(),
+            wake: Arc::clone(ctx.wake),
+            conn: token,
+        },
+        entries: std::mem::take(run),
     };
-    match ctx.hub.senders[shard].try_send(job) {
+    let (job, resp) = match ctx.hub.senders[shard].try_send(job) {
         Ok(()) => {
             ctx.hub.shared[shard].depth.fetch_add(1, Ordering::Relaxed);
+            return;
         }
         Err(TrySendError::Full(job)) => {
             ctx.hub.counters.busy.fetch_add(n, Ordering::Relaxed);
             ctx.hub.shared[shard].busy.fetch_add(n, Ordering::Relaxed);
-            refuse_job(conn, job, &Response::Busy);
+            (job, Response::Busy)
         }
-        Err(TrySendError::Disconnected(job)) => {
-            refuse_job(
-                conn,
-                job,
-                &Response::Error {
-                    code: ErrorCode::Draining,
-                    message: "server is draining".into(),
-                },
-            );
-        }
-    }
-}
-
-/// Completes every request in a rejected job with `resp`, in place —
-/// the replies are already in sequence order, so they land straight in
-/// the connection's write buffer.
-fn refuse_job(conn: &mut Conn, job: Job, resp: &Response) {
-    let entries = match job {
-        Job::Request { req, reply } => vec![(req, reply)],
-        Job::Run { entries, .. } => entries,
-        Job::Snapshot { .. } | Job::Persist { .. } => Vec::new(),
+        Err(TrySendError::Disconnected(job)) => (
+            job,
+            Response::Error {
+                code: ErrorCode::Draining,
+                message: "server is draining".into(),
+            },
+        ),
     };
-    for (_, reply) in entries {
-        if let ReplySink::Event { seq, .. } = reply {
+    // The refused replies are already in sequence order, so they land
+    // straight in the connection's write buffer.
+    if let Job::Run { entries, .. } = job {
+        for (seq, _) in entries {
             conn.complete(seq, resp.clone());
         }
     }

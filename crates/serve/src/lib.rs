@@ -14,7 +14,8 @@
 //!   `Migrate`/`MigrateOk` pair — a checksummed single-session snapshot
 //!   in flight — which the `ntp-cluster` router uses to move live
 //!   sessions between backends;
-//! * [`server`] — the TCP listener and fixed shard-worker pool.
+//! * [`server`] — the TCP listener, the epoll readiness loops that
+//!   multiplex every connection, and the fixed shard-worker pool.
 //!   Sessions are owned by a single worker (`session % workers`), so
 //!   every predictor stays single-threaded and lock-free; bounded
 //!   per-shard queues reply `Busy` under load, connection/frame/timeout
@@ -71,29 +72,16 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("ntp-serve is Linux-only: its connection frontend is an epoll readiness loop");
+
 pub mod client;
 pub mod config;
-#[cfg(target_os = "linux")]
 mod event;
 pub mod loadgen;
-#[cfg(target_os = "linux")]
 mod poll;
 pub mod server;
 pub mod wire;
-
-/// The wakeup primitive shard workers use to poke an event loop when a
-/// completion is queued: the `eventfd` wrapper on Linux, an inert stub
-/// elsewhere (the blocking frontend never constructs an event sink).
-#[cfg(target_os = "linux")]
-pub(crate) use poll::WakeFd as EventWake;
-
-#[cfg(not(target_os = "linux"))]
-pub(crate) struct EventWake;
-
-#[cfg(not(target_os = "linux"))]
-impl EventWake {
-    pub(crate) fn wake(&self) {}
-}
 
 pub use client::{Client, ClientError};
 pub use config::ServeConfig;

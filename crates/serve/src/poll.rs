@@ -1,11 +1,9 @@
-//! Zero-dependency readiness polling for the event-driven frontend.
+//! Zero-dependency readiness polling for the connection frontend.
 //!
 //! This module wraps the three raw `epoll` syscalls plus `eventfd`
 //! behind a tiny safe surface, declaring the symbols directly against
-//! the C library that `std` already links — no `libc` crate. It only
-//! compiles on Linux; the server falls back to the blocking
-//! thread-per-connection path everywhere else (and whenever
-//! `event_threads == 0`).
+//! the C library that `std` already links — no `libc` crate. It is the
+//! reason the crate is Linux-only.
 //!
 //! Design notes:
 //!

@@ -910,46 +910,6 @@ fn pipelined_bursts_reply_in_order_and_coalesce() {
     assert!(summary.per_shard[0].coalesced > 0);
 }
 
-/// `event_threads: 0` forces the portable blocking frontend on any
-/// platform; the exact-oracle guarantee holds there unchanged.
-#[test]
-fn blocking_fallback_matches_oracle() {
-    let handle = serve(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        event_threads: 0,
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = handle.local_addr().to_string();
-
-    let specs: Vec<SessionSpec> = (0..3)
-        .map(|i| SessionSpec {
-            name: format!("synth{i}"),
-            records: synthetic_stream(0xB10C_0000 + i as u64, 2_000),
-        })
-        .collect();
-    let report = loadgen::run(
-        &LoadgenConfig {
-            addr: addr.clone(),
-            clients: 3,
-            chunk: 128,
-            bits: 12,
-            depth: 5,
-        },
-        &specs,
-    )
-    .expect("loadgen runs");
-    assert!(report.all_match(), "blocking frontend diverged from oracle");
-
-    Client::connect(&addr)
-        .expect("connect")
-        .shutdown_server()
-        .expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.sessions, 3);
-}
-
 /// Open-loop determinism: two runs with the same seed, rate, zipf and
 /// duration — against fresh servers — produce the identical schedule
 /// (digest and per-session sent counts) and, below capacity, identical

@@ -1,50 +1,8 @@
-//! Simulator robustness: no input program may panic the machine — faults
-//! must surface as `SimError` values.
+//! Simulator robustness: faults surface as `SimError` values, loads
+//! extend and order as specified. The seeded random-program and
+//! store/load properties live in the root `tests/props.rs`.
 
-// Compiled only with `--features proptest`: the proptest dev-dependency
-// is gated so the offline tier-1 build resolves without a registry.
-#![cfg(feature = "proptest")]
-
-use ntp_isa::{decode, Instr, Program};
 use ntp_sim::{Machine, MemoryConfig, SimError};
-use proptest::prelude::*;
-
-proptest! {
-    /// Random (decodable) instruction soup either runs, halts, or faults
-    /// cleanly — never panics, never violates the budget.
-    #[test]
-    fn random_programs_never_panic(words in prop::collection::vec(any::<u32>(), 1..200)) {
-        let instrs: Vec<Instr> = words.iter().filter_map(|&w| decode(w).ok()).collect();
-        prop_assume!(!instrs.is_empty());
-        let mut p = Program::new();
-        p.instrs = instrs;
-        let mut m = Machine::with_config(
-            p,
-            MemoryConfig {
-                data_capacity: 1 << 16,
-                stack_capacity: 1 << 16,
-            },
-        );
-        let budget = 5_000u64;
-        match m.run(budget) {
-            Ok(_) => prop_assert!(m.icount() <= budget),
-            Err(SimError::MemFault { .. } | SimError::PcOutOfRange { .. }) => {}
-            Err(SimError::Halted) => prop_assert!(false, "run() never reports Halted"),
-        }
-    }
-
-    /// Loads reproduce stores at arbitrary aligned data addresses.
-    #[test]
-    fn store_load_roundtrip(off in (0u32..16000).prop_map(|v| v * 4), val in any::<u32>()) {
-        let p = ntp_isa::asm::assemble("main: halt\n.data\nbase: .space 64000\n").unwrap();
-        let base = p.symbol("base").unwrap();
-        let mut m = Machine::new(p);
-        m.mem_mut().store32(base + off, val).unwrap();
-        prop_assert_eq!(m.mem().load32(base + off).unwrap(), val);
-        // Byte views agree with little-endian layout.
-        prop_assert_eq!(m.mem().load8(base + off).unwrap(), (val & 0xFF) as u8);
-    }
-}
 
 #[test]
 fn sign_extension_loads() {

@@ -227,8 +227,7 @@ echo "4 sessions served; statistics identical to the offline oracle"
 
 # Serving perf gate: the fixed closed-loop smoke must stay at or above
 # the floor percentage of the checked-in baseline QPS — this is what
-# catches "the event-driven frontend got slower than thread-per-conn"
-# class regressions.
+# catches throughput regressions in the epoll frontend and shard drain.
 qps_base=$(jq '.loadgen_req_per_sec' "$baseline")
 qps_got=$(jq '.qps' "$out_srv/loadgen1.json")
 if jq -ne --argjson got "$qps_got" --argjson base "$qps_base" --argjson pct "$floor_pct" \

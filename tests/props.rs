@@ -1,222 +1,132 @@
-//! Property-based tests (proptest) over the core data structures and
-//! invariants of the stack.
-
-// Compiled only with `--features proptest`: the proptest dev-dependency
-// is gated so the offline tier-1 build resolves without a registry.
-#![cfg(feature = "proptest")]
+//! Seeded property tests over the core data structures and invariants
+//! of the stack: the ISA codec and assembler, the simulator's fault
+//! model, trace selection, and the predictor's history, index, counter
+//! and return-stack structures.
+//!
+//! Every property draws its inputs from [`XorShift64`] with a fixed
+//! seed, so a run is reproducible from this file alone. Each case gets
+//! its own fork of the seed; a failing case prints its index, and
+//! `XorShift64::new(seed).fork(case)` rebuilds exactly its inputs.
 
 use ntp::core::{Counter, CounterSpec, Dolc, PathHistory, ReturnHistoryStack, RhsConfig};
-use ntp::isa::{decode, encode, ControlKind, Instr, Reg};
-use ntp::sim::{ControlEvent, Step};
+use ntp::isa::{decode, encode, ControlKind, Instr, Program, Reg};
+use ntp::sim::{ControlEvent, Machine, MemoryConfig, SimError, Step};
 use ntp::trace::{HashedId, TraceBuilder, TraceConfig, TraceId};
-use proptest::prelude::*;
+use ntp::verify::XorShift64;
 
-fn arb_reg() -> impl Strategy<Value = Reg> {
-    (0u8..32).prop_map(|n| Reg::new(n).unwrap())
+/// Names the failing case when a property panics mid-case.
+struct CaseGuard {
+    seed: u64,
+    case: u64,
 }
 
-fn arb_instr() -> impl Strategy<Value = Instr> {
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "property failed at seed {:#x}, case {}: rebuild with XorShift64::new(seed).fork(case)",
+                self.seed, self.case
+            );
+        }
+    }
+}
+
+/// Runs `check` on `cases` independent inputs, each drawn from its own
+/// fork of `seed`.
+fn for_cases(seed: u64, cases: u64, mut check: impl FnMut(&mut XorShift64)) {
+    let root = XorShift64::new(seed);
+    for case in 0..cases {
+        let _guard = CaseGuard { seed, case };
+        check(&mut root.fork(case));
+    }
+}
+
+/// A length uniform in `lo..=hi`.
+fn len(rng: &mut XorShift64, lo: usize, hi: usize) -> usize {
+    rng.range(lo as u64, hi as u64) as usize
+}
+
+fn any_u16(rng: &mut XorShift64) -> u16 {
+    rng.next_u32() as u16
+}
+
+fn any_i16(rng: &mut XorShift64) -> i16 {
+    any_u16(rng) as i16
+}
+
+fn any_bool(rng: &mut XorShift64) -> bool {
+    rng.chance(1, 2)
+}
+
+fn arb_reg(rng: &mut XorShift64) -> Reg {
+    Reg::new(rng.below(32) as u8).unwrap()
+}
+
+/// One instruction from a representative mix of every encoding format.
+fn arb_instr(rng: &mut XorShift64) -> Instr {
     let r = arb_reg;
-    prop_oneof![
-        (r(), r(), r()).prop_map(|(a, b, c)| Instr::Add(a, b, c)),
-        (r(), r(), r()).prop_map(|(a, b, c)| Instr::Sub(a, b, c)),
-        (r(), r(), r()).prop_map(|(a, b, c)| Instr::Sltu(a, b, c)),
-        (r(), r(), r()).prop_map(|(a, b, c)| Instr::Mul(a, b, c)),
-        (r(), r(), 0u8..32).prop_map(|(a, b, s)| Instr::Sll(a, b, s)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Addi(a, b, i)),
-        (r(), r(), any::<u16>()).prop_map(|(a, b, i)| Instr::Ori(a, b, i)),
-        (r(), any::<u16>()).prop_map(|(a, i)| Instr::Lui(a, i)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Lw(a, b, i)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Sb(a, b, i)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Beq(a, b, i)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Bgeu(a, b, i)),
-        (0u32..(1 << 26)).prop_map(Instr::J),
-        (0u32..(1 << 26)).prop_map(Instr::Jal),
-        r().prop_map(Instr::Jr),
-        (r(), r()).prop_map(|(a, b)| Instr::Jalr(a, b)),
-        Just(Instr::Halt),
-        r().prop_map(Instr::Out),
-    ]
-}
-
-proptest! {
-    #[test]
-    fn encode_decode_roundtrip(instr in arb_instr()) {
-        let word = encode(&instr);
-        prop_assert_eq!(decode(word), Ok(instr));
-    }
-
-    #[test]
-    fn trace_id_packing_roundtrip(
-        pc in (0x0040_0000u32..0x0080_0000).prop_map(|p| p & !3),
-        bits in 0u8..64,
-        count in 0u8..=6,
-    ) {
-        let id = TraceId::new(pc, bits, count);
-        let back = TraceId::from_packed(id.packed());
-        prop_assert_eq!(back.start_pc, id.start_pc);
-        prop_assert_eq!(back.branch_bits, id.branch_bits);
-        // Hash low two bits are the first two outcomes.
-        prop_assert_eq!(id.hashed().0 & 0b11, (id.branch_bits & 0b11) as u16);
-    }
-
-    #[test]
-    fn dolc_index_always_fits(
-        ids in prop::collection::vec(any::<u16>(), 0..8),
-        depth in 0usize..=7,
-        bits_sel in 0usize..3,
-    ) {
-        let bits = [12u32, 15, 18][bits_sel];
-        let dolc = Dolc::standard(depth, bits);
-        let mut h: PathHistory<HashedId> = PathHistory::new(8);
-        for v in ids {
-            h.push(HashedId(v));
-        }
-        prop_assert!(dolc.index(&h, bits) < (1u32 << bits));
-    }
-
-    #[test]
-    fn dolc_ignores_history_beyond_depth(
-        ids in prop::collection::vec(any::<u16>(), 8),
-        depth in 0usize..=6,
-        tweak in any::<u16>(),
-    ) {
-        let dolc = Dolc::standard(depth, 15);
-        let mut a: PathHistory<HashedId> = PathHistory::new(8);
-        let mut b: PathHistory<HashedId> = PathHistory::new(8);
-        for (k, v) in ids.iter().enumerate() {
-            a.push(HashedId(*v));
-            // Change only entries older than the depth window.
-            let altered = if k < 8 - (depth + 1) { v ^ tweak } else { *v };
-            b.push(HashedId(altered));
-        }
-        prop_assert_eq!(dolc.index(&a, 15), dolc.index(&b, 15));
-    }
-
-    #[test]
-    fn counter_never_leaves_range(
-        events in prop::collection::vec(any::<bool>(), 0..200),
-        bits in 1u8..=4,
-        inc in 1u8..=3,
-        dec in 1u8..=15,
-    ) {
-        let spec = CounterSpec { bits, inc, dec };
-        let mut c = Counter::new();
-        for correct in events {
-            if correct {
-                c.on_correct(spec);
-            } else {
-                let _ = c.on_incorrect(spec);
-            }
-            prop_assert!(c.value() <= spec.max());
-        }
-    }
-
-    #[test]
-    fn path_history_matches_model(
-        ops in prop::collection::vec(any::<u16>(), 0..64),
-        cap in 1usize..=8,
-    ) {
-        let mut h: PathHistory<u16> = PathHistory::new(cap);
-        let mut model: Vec<u16> = Vec::new();
-        for v in ops {
-            h.push(v);
-            model.insert(0, v);
-            model.truncate(cap);
-            prop_assert_eq!(h.snapshot(), model.clone());
-            prop_assert_eq!(h.newest().unwrap(), model[0]);
-        }
-    }
-
-    #[test]
-    fn rhs_depth_bounded(
-        events in prop::collection::vec((0u8..3, any::<bool>()), 0..100),
-        max_depth in 1usize..=8,
-    ) {
-        let mut h: PathHistory<u16> = PathHistory::new(4);
-        h.push(1);
-        let mut rhs: ReturnHistoryStack<u16> =
-            ReturnHistoryStack::new(RhsConfig { max_depth });
-        for (calls, ret) in events {
-            rhs.on_trace(&mut h, calls, ret);
-            prop_assert!(rhs.depth() <= max_depth);
-            prop_assert!(h.len() <= h.capacity());
-        }
+    match rng.below(18) {
+        0 => Instr::Add(r(rng), r(rng), r(rng)),
+        1 => Instr::Sub(r(rng), r(rng), r(rng)),
+        2 => Instr::Sltu(r(rng), r(rng), r(rng)),
+        3 => Instr::Mul(r(rng), r(rng), r(rng)),
+        4 => Instr::Sll(r(rng), r(rng), rng.below(32) as u8),
+        5 => Instr::Addi(r(rng), r(rng), any_i16(rng)),
+        6 => Instr::Ori(r(rng), r(rng), any_u16(rng)),
+        7 => Instr::Lui(r(rng), any_u16(rng)),
+        8 => Instr::Lw(r(rng), r(rng), any_i16(rng)),
+        9 => Instr::Sb(r(rng), r(rng), any_i16(rng)),
+        10 => Instr::Beq(r(rng), r(rng), any_i16(rng)),
+        11 => Instr::Bgeu(r(rng), r(rng), any_i16(rng)),
+        12 => Instr::J(rng.below(1 << 26) as u32),
+        13 => Instr::Jal(rng.below(1 << 26) as u32),
+        14 => Instr::Jr(r(rng)),
+        15 => Instr::Jalr(r(rng), r(rng)),
+        16 => Instr::Halt,
+        _ => Instr::Out(r(rng)),
     }
 }
 
-/// Builds a synthetic retired-instruction step.
-fn step(pc: u32, kind: ControlKind, taken: bool) -> Step {
-    let instr = match kind {
-        ControlKind::None => Instr::Add(Reg::ZERO, Reg::ZERO, Reg::ZERO),
-        ControlKind::CondBranch => Instr::Beq(Reg::ZERO, Reg::ZERO, 1),
-        ControlKind::Jump => Instr::J(pc >> 2),
-        ControlKind::Call => Instr::Jal(pc >> 2),
-        ControlKind::IndirectJump => Instr::Jr(Reg::V0),
-        ControlKind::IndirectCall => Instr::Jalr(Reg::RA, Reg::V0),
-        ControlKind::Return => Instr::Jr(Reg::RA),
-    };
-    let control = (kind != ControlKind::None).then_some(ControlEvent {
-        kind,
-        taken: taken || kind != ControlKind::CondBranch,
-        target: pc.wrapping_add(64),
+fn arb_instrs(rng: &mut XorShift64, lo: usize, hi: usize) -> Vec<Instr> {
+    let n = len(rng, lo, hi);
+    (0..n).map(|_| arb_instr(rng)).collect()
+}
+
+#[test]
+fn encode_decode_roundtrip() {
+    for_cases(0x1001, 1024, |rng| {
+        let instr = arb_instr(rng);
+        assert_eq!(decode(encode(&instr)), Ok(instr));
     });
-    Step { pc, instr, control }
 }
 
-fn arb_kind() -> impl Strategy<Value = ControlKind> {
-    prop_oneof![
-        5 => Just(ControlKind::None),
-        2 => Just(ControlKind::CondBranch),
-        1 => Just(ControlKind::Jump),
-        1 => Just(ControlKind::Call),
-        1 => Just(ControlKind::Return),
-        1 => Just(ControlKind::IndirectJump),
-    ]
+/// The decoder never panics, whatever the word.
+#[test]
+fn decode_total() {
+    for_cases(0x1002, 4096, |rng| {
+        let _ = decode(rng.next_u32());
+    });
 }
 
-proptest! {
-    #[test]
-    fn trace_builder_invariants_on_arbitrary_streams(
-        kinds in prop::collection::vec((arb_kind(), any::<bool>()), 1..400),
-    ) {
-        let mut builder = TraceBuilder::new(TraceConfig::default());
-        let mut total_in = 0usize;
-        let mut total_out = 0usize;
-        let mut pc = 0x0040_0000u32;
-        let mut traces = Vec::new();
-        for (kind, taken) in kinds {
-            total_in += 1;
-            if let Some(t) = builder.push(&step(pc, kind, taken)) {
-                traces.push(t);
-            }
-            pc = pc.wrapping_add(4);
+/// If a word decodes, re-encoding reproduces it or a canonical
+/// equivalent that decodes to the same instruction.
+#[test]
+fn decode_encode_stable() {
+    for_cases(0x1003, 4096, |rng| {
+        if let Ok(i) = decode(rng.next_u32()) {
+            assert_eq!(decode(encode(&i)), Ok(i));
         }
-        if let Some(t) = builder.flush() {
-            traces.push(t);
-        }
-        for t in &traces {
-            total_out += t.len();
-            prop_assert!(t.len() <= 16);
-            prop_assert!(t.branch_count() <= 6);
-            let controls = t.controls();
-            for c in &controls[..controls.len().saturating_sub(1)] {
-                prop_assert!(!c.kind.is_indirect());
-            }
-        }
-        prop_assert_eq!(total_in, total_out, "every instruction lands in exactly one trace");
-    }
+    });
 }
 
-proptest! {
-    /// Full tooling roundtrip: instruction list → disassembly text →
-    /// assembler → identical instruction list. Exercises the assembler's
-    /// numeric-target paths and the disassembler together.
-    #[test]
-    fn disassemble_reassemble_roundtrip(
-        instrs in prop::collection::vec(arb_instr(), 1..40),
-    ) {
-        use ntp::isa::{asm::assemble, disasm, TEXT_BASE};
+/// Full tooling roundtrip: instruction list → disassembly text →
+/// assembler → identical instruction list. Exercises the assembler's
+/// numeric-target paths and the disassembler together.
+#[test]
+fn disassemble_reassemble_roundtrip() {
+    use ntp::isa::{asm::assemble, disasm, TEXT_BASE};
+    for_cases(0x1004, 512, |rng| {
+        let instrs = arb_instrs(rng, 1, 39);
         // Rewrite control-flow targets so they land inside this block
         // (the assembler validates branch range and jump region).
         let n = instrs.len() as u32;
@@ -239,20 +149,239 @@ proptest! {
             text.push('\n');
         }
         let program = assemble(&text).expect("disassembly is valid assembly");
-        prop_assert_eq!(program.instrs, fixed);
-    }
+        assert_eq!(program.instrs, fixed);
+    });
+}
 
-    /// Encoded programs decode back through `Program::encode_text`.
-    #[test]
-    fn program_binary_roundtrip(instrs in prop::collection::vec(arb_instr(), 1..64)) {
-        use ntp::isa::decode;
-        let mut p = ntp::isa::Program::new();
+/// Encoded programs decode back through `Program::encode_text`.
+#[test]
+fn program_binary_roundtrip() {
+    for_cases(0x1005, 512, |rng| {
+        let instrs = arb_instrs(rng, 1, 63);
+        let mut p = Program::new();
         p.instrs = instrs.clone();
-        let words = p.encode_text();
-        let back: Vec<Instr> = words
+        let back: Vec<Instr> = p
+            .encode_text()
             .iter()
             .map(|&w| decode(w).expect("encoded instructions decode"))
             .collect();
-        prop_assert_eq!(back, instrs);
+        assert_eq!(back, instrs);
+    });
+}
+
+/// Random (decodable) instruction soup either runs, halts, or faults
+/// cleanly — never panics, never violates the budget.
+#[test]
+fn random_programs_never_panic() {
+    for_cases(0x2001, 1024, |rng| {
+        let words = len(rng, 1, 199);
+        let instrs: Vec<Instr> = (0..words)
+            .filter_map(|_| decode(rng.next_u32()).ok())
+            .collect();
+        if instrs.is_empty() {
+            return;
+        }
+        let mut p = Program::new();
+        p.instrs = instrs;
+        let mut m = Machine::with_config(
+            p,
+            MemoryConfig {
+                data_capacity: 1 << 16,
+                stack_capacity: 1 << 16,
+            },
+        );
+        let budget = 5_000u64;
+        match m.run(budget) {
+            Ok(_) => assert!(m.icount() <= budget),
+            Err(SimError::MemFault { .. } | SimError::PcOutOfRange { .. }) => {}
+            Err(SimError::Halted) => panic!("run() never reports Halted"),
+        }
+    });
+}
+
+/// Loads reproduce stores at arbitrary aligned data addresses.
+#[test]
+fn store_load_roundtrip() {
+    let p = ntp::isa::asm::assemble("main: halt\n.data\nbase: .space 64000\n").unwrap();
+    let base = p.symbol("base").unwrap();
+    let mut m = Machine::new(p);
+    for_cases(0x2002, 1024, |rng| {
+        let off = rng.below(16000) as u32 * 4;
+        let val = rng.next_u32();
+        m.mem_mut().store32(base + off, val).unwrap();
+        assert_eq!(m.mem().load32(base + off).unwrap(), val);
+        // Byte views agree with little-endian layout.
+        assert_eq!(m.mem().load8(base + off).unwrap(), (val & 0xFF) as u8);
+    });
+}
+
+#[test]
+fn trace_id_packing_roundtrip() {
+    for_cases(0x3001, 1024, |rng| {
+        let pc = rng.range(0x0040_0000, 0x007F_FFFF) as u32 & !3;
+        let bits = rng.below(64) as u8;
+        let count = rng.range(0, 6) as u8;
+        let id = TraceId::new(pc, bits, count);
+        let back = TraceId::from_packed(id.packed());
+        assert_eq!(back.start_pc, id.start_pc);
+        assert_eq!(back.branch_bits, id.branch_bits);
+        // Hash low two bits are the first two outcomes.
+        assert_eq!(id.hashed().0 & 0b11, (id.branch_bits & 0b11) as u16);
+    });
+}
+
+/// Builds a synthetic retired-instruction step.
+fn step(pc: u32, kind: ControlKind, taken: bool) -> Step {
+    let instr = match kind {
+        ControlKind::None => Instr::Add(Reg::ZERO, Reg::ZERO, Reg::ZERO),
+        ControlKind::CondBranch => Instr::Beq(Reg::ZERO, Reg::ZERO, 1),
+        ControlKind::Jump => Instr::J(pc >> 2),
+        ControlKind::Call => Instr::Jal(pc >> 2),
+        ControlKind::IndirectJump => Instr::Jr(Reg::V0),
+        ControlKind::IndirectCall => Instr::Jalr(Reg::RA, Reg::V0),
+        ControlKind::Return => Instr::Jr(Reg::RA),
+    };
+    let control = (kind != ControlKind::None).then_some(ControlEvent {
+        kind,
+        taken: taken || kind != ControlKind::CondBranch,
+        target: pc.wrapping_add(64),
+    });
+    Step { pc, instr, control }
+}
+
+/// A control kind weighted like straight-line code: mostly none, then
+/// conditional branches, then the rest.
+fn arb_kind(rng: &mut XorShift64) -> ControlKind {
+    match rng.below(11) {
+        0..=4 => ControlKind::None,
+        5 | 6 => ControlKind::CondBranch,
+        7 => ControlKind::Jump,
+        8 => ControlKind::Call,
+        9 => ControlKind::Return,
+        _ => ControlKind::IndirectJump,
     }
+}
+
+#[test]
+fn trace_builder_invariants_on_arbitrary_streams() {
+    for_cases(0x3002, 1024, |rng| {
+        let steps = len(rng, 1, 399);
+        let mut builder = TraceBuilder::new(TraceConfig::default());
+        let mut total_out = 0usize;
+        let mut pc = 0x0040_0000u32;
+        let mut traces = Vec::new();
+        for _ in 0..steps {
+            let kind = arb_kind(rng);
+            if let Some(t) = builder.push(&step(pc, kind, any_bool(rng))) {
+                traces.push(t);
+            }
+            pc = pc.wrapping_add(4);
+        }
+        if let Some(t) = builder.flush() {
+            traces.push(t);
+        }
+        for t in &traces {
+            total_out += t.len();
+            assert!(t.len() <= 16);
+            assert!(t.branch_count() <= 6);
+            let controls = t.controls();
+            for c in &controls[..controls.len().saturating_sub(1)] {
+                assert!(!c.kind.is_indirect());
+            }
+        }
+        assert_eq!(
+            steps, total_out,
+            "every instruction lands in exactly one trace"
+        );
+    });
+}
+
+#[test]
+fn dolc_index_always_fits() {
+    for_cases(0x4001, 1024, |rng| {
+        let ids = len(rng, 0, 7);
+        let depth = len(rng, 0, 7);
+        let bits = [12u32, 15, 18][rng.below(3) as usize];
+        let dolc = Dolc::standard(depth, bits);
+        let mut h: PathHistory<HashedId> = PathHistory::new(8);
+        for _ in 0..ids {
+            h.push(HashedId(any_u16(rng)));
+        }
+        assert!(dolc.index(&h, bits) < (1u32 << bits));
+    });
+}
+
+#[test]
+fn dolc_ignores_history_beyond_depth() {
+    for_cases(0x4002, 1024, |rng| {
+        let ids: Vec<u16> = (0..8).map(|_| any_u16(rng)).collect();
+        let depth = len(rng, 0, 6);
+        let tweak = any_u16(rng);
+        let dolc = Dolc::standard(depth, 15);
+        let mut a: PathHistory<HashedId> = PathHistory::new(8);
+        let mut b: PathHistory<HashedId> = PathHistory::new(8);
+        for (k, v) in ids.iter().enumerate() {
+            a.push(HashedId(*v));
+            // Change only entries older than the depth window.
+            let altered = if k < 8 - (depth + 1) { v ^ tweak } else { *v };
+            b.push(HashedId(altered));
+        }
+        assert_eq!(dolc.index(&a, 15), dolc.index(&b, 15));
+    });
+}
+
+#[test]
+fn counter_never_leaves_range() {
+    for_cases(0x4003, 512, |rng| {
+        let events = len(rng, 0, 199);
+        let spec = CounterSpec {
+            bits: rng.range(1, 4) as u8,
+            inc: rng.range(1, 3) as u8,
+            dec: rng.range(1, 15) as u8,
+        };
+        let mut c = Counter::new();
+        for _ in 0..events {
+            if any_bool(rng) {
+                c.on_correct(spec);
+            } else {
+                let _ = c.on_incorrect(spec);
+            }
+            assert!(c.value() <= spec.max());
+        }
+    });
+}
+
+#[test]
+fn path_history_matches_model() {
+    for_cases(0x4004, 512, |rng| {
+        let ops = len(rng, 0, 63);
+        let cap = len(rng, 1, 8);
+        let mut h: PathHistory<u16> = PathHistory::new(cap);
+        let mut model: Vec<u16> = Vec::new();
+        for _ in 0..ops {
+            let v = any_u16(rng);
+            h.push(v);
+            model.insert(0, v);
+            model.truncate(cap);
+            assert_eq!(h.snapshot(), model);
+            assert_eq!(h.newest().unwrap(), model[0]);
+        }
+    });
+}
+
+#[test]
+fn rhs_depth_bounded() {
+    for_cases(0x4005, 512, |rng| {
+        let events = len(rng, 0, 99);
+        let max_depth = len(rng, 1, 8);
+        let mut h: PathHistory<u16> = PathHistory::new(4);
+        h.push(1);
+        let mut rhs: ReturnHistoryStack<u16> = ReturnHistoryStack::new(RhsConfig { max_depth });
+        for _ in 0..events {
+            let calls = rng.below(3) as u8;
+            rhs.on_trace(&mut h, calls, any_bool(rng));
+            assert!(rhs.depth() <= max_depth);
+            assert!(h.len() <= h.capacity());
+        }
+    });
 }
