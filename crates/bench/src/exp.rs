@@ -481,7 +481,7 @@ pub fn ablations(data: &[BenchData]) -> String {
 /// counters, after the authors' MICRO-29 confidence paper) — coverage of
 /// the high-confidence class and misprediction inside each class.
 pub fn confidence(data: &[BenchData]) -> String {
-    use ntp_core::{evaluate_with_confidence, ConfidenceConfig, ConfidenceEstimator};
+    use ntp_core::{replay_one, ConfidenceConfig, ConfidenceObserver};
     let mut s =
         header("Extension: prediction confidence (2^14 resetting counters, 2^15 predictor)");
     s += &row(&[
@@ -494,11 +494,12 @@ pub fn confidence(data: &[BenchData]) -> String {
     s.push('\n');
     let results = fan_out("confidence", replayed(data, 1), data, |d| {
         let mut p = NextTracePredictor::new(PredictorConfig::paper(15, 7));
-        let mut est = ConfidenceEstimator::new(ConfidenceConfig {
+        let obs = ConfidenceObserver::new(ConfidenceConfig {
             threshold: 8,
             ..ConfidenceConfig::paper_like()
         });
-        let stats = evaluate_with_confidence(&mut p, &mut est, &d.records);
+        let (prediction, obs) = replay_one(&mut p, &d.records, obs);
+        let stats = obs.finish(prediction);
         (
             stats.coverage(),
             stats.high_mispredict_pct(),

@@ -14,7 +14,7 @@
 //! after [`Report::strip_volatile`].
 
 use crate::BenchData;
-use ntp_core::{evaluate_with_sink, predictor_section, NextTracePredictor, PredictorConfig};
+use ntp_core::{predictor_section, replay_one, NextTracePredictor, PredictorConfig, SinkObserver};
 use ntp_engine::{DelayedUpdateEngine, EngineConfig, FetchConfig, FetchEngine};
 use ntp_telemetry::{
     per_second, Json, MetricsRegistry, NullSink, Report, RunManifest, ScopeTimer, ToJson,
@@ -77,11 +77,12 @@ pub fn bench_report(d: &BenchData) -> Report {
             "bench: headline design point paper({REPORT_INDEX_BITS},{REPORT_DEPTH}) rejected: {e}"
         )
     });
-    let mut p = NextTracePredictor::try_new(cfg)
-        .unwrap_or_else(|e| panic!("bench: headline predictor config rejected: {e}"));
+    let mut p = NextTracePredictor::new(cfg);
     let (stats, streaks) = {
         let _t = ScopeTimer::new(report.phases_mut(), "replay");
-        evaluate_with_sink(&mut p, &d.records, &mut NullSink)
+        let mut sink = NullSink;
+        let (stats, obs) = replay_one(&mut p, &d.records, SinkObserver::new(&mut sink));
+        (stats, obs.into_streaks())
     };
     report.section("predictor", predictor_section(&p, &stats));
     report.section("mispredict_streaks", streaks.to_json());

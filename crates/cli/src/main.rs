@@ -29,7 +29,7 @@
 //! ```
 
 use ntp_core::{
-    evaluate, evaluate_with_sink, predictor_section, NextTracePredictor, PredictorConfig,
+    evaluate, predictor_section, replay_one, NextTracePredictor, PredictorConfig, SinkObserver,
 };
 use ntp_engine::{DelayedUpdateEngine, EngineConfig};
 use ntp_isa::{asm::assemble, disasm, Program, IMAGE_MAGIC};
@@ -207,7 +207,7 @@ fn cmd_predict(rest: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
 
     let cfg = PredictorConfig::try_paper(bits, depth).map_err(|e| e.to_string())?;
-    let mut predictor = NextTracePredictor::try_new(cfg).map_err(|e| e.to_string())?;
+    let mut predictor = NextTracePredictor::new(cfg);
     let result = evaluate(&mut predictor, &records);
 
     println!(
@@ -330,8 +330,9 @@ fn build_report(spec: &str, budget: u64, bits: u32, depth: usize) -> Result<Repo
         let t0 = std::time::Instant::now();
         let pass = if k == 0 {
             let mut predictor = NextTracePredictor::new(cfg);
-            let (pstats, streaks) = evaluate_with_sink(&mut predictor, &records, &mut NullSink);
-            Pass::Replay(Box::new((predictor, pstats, streaks)))
+            let mut sink = NullSink;
+            let (pstats, obs) = replay_one(&mut predictor, &records, SinkObserver::new(&mut sink));
+            Pass::Replay(Box::new((predictor, pstats, obs.into_streaks())))
         } else {
             Pass::Engine(
                 DelayedUpdateEngine::new(NextTracePredictor::new(cfg), EngineConfig::default())
@@ -633,7 +634,7 @@ fn snapshot_save(rest: &[String]) -> Result<(), String> {
     })
     .map_err(|e| e.to_string())?;
 
-    let mut predictor = NextTracePredictor::try_new(cfg).map_err(|e| e.to_string())?;
+    let mut predictor = NextTracePredictor::new(cfg);
     let stats = evaluate(&mut predictor, &records);
     let artifact = ntp_tracefile::SnapshotArtifact {
         sessions: vec![ntp_tracefile::SessionSnapshot::capture(

@@ -13,7 +13,7 @@
 //! reported here are the standard ones: coverage of each confidence class
 //! and the misprediction rate within it.
 
-use crate::{Dolc, NextTracePredictor, PathHistory, PredictorStats, TracePredictor};
+use crate::{Dolc, NextTracePredictor, Observer, PathHistory, Prediction, PredictorStats};
 use ntp_trace::{HashedId, TraceRecord};
 
 /// Configuration of a [`ConfidenceEstimator`].
@@ -46,8 +46,9 @@ impl ConfidenceConfig {
         ((1u16 << self.counter_bits) - 1) as u8
     }
 
-    /// Validates the configuration without panicking.
-    pub fn try_validate(&self) -> Result<(), crate::ConfigError> {
+    /// Validates the configuration: table size, counter width, and a
+    /// threshold the counter can reach.
+    pub fn validate(&self) -> Result<(), crate::ConfigError> {
         crate::error::in_range("confidence.index_bits", self.index_bits as u64, 1, 24)?;
         crate::error::in_range("confidence.counter_bits", self.counter_bits as u64, 1, 8)?;
         crate::error::in_range(
@@ -56,20 +57,7 @@ impl ConfidenceConfig {
             0,
             self.max() as u64,
         )?;
-        self.dolc.try_validate()
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero-size tables, counters wider than 8 bits, or a
-    /// threshold above the counter maximum — see
-    /// [`ConfidenceConfig::try_validate`].
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("invalid confidence config: {e}");
-        }
+        self.dolc.validate()
     }
 }
 
@@ -105,7 +93,9 @@ impl ConfidenceEstimator {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: ConfidenceConfig) -> ConfidenceEstimator {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid confidence config: {e}");
+        }
         ConfidenceEstimator {
             counters: vec![0; 1 << cfg.index_bits],
             cfg,
@@ -203,36 +193,75 @@ impl ConfidenceStats {
     }
 }
 
-/// Replays a trace stream through a predictor with a confidence estimator
-/// riding along, using immediate updates for both.
-pub fn evaluate_with_confidence(
-    predictor: &mut NextTracePredictor,
-    estimator: &mut ConfidenceEstimator,
-    records: &[TraceRecord],
-) -> ConfidenceStats {
-    let mut stats = ConfidenceStats::default();
-    for r in records {
-        let pred = predictor.predict();
-        let confident = estimator.is_confident(predictor.history());
-        let correct = pred.is_correct(r.id());
-        stats.prediction.score(&pred, r);
-        match (confident, correct) {
-            (true, true) => stats.high_correct += 1,
-            (true, false) => stats.high_wrong += 1,
-            (false, true) => stats.low_correct += 1,
-            (false, false) => stats.low_wrong += 1,
+/// An [`Observer`] of a [`NextTracePredictor`] replay with a confidence
+/// estimator riding along: each prediction is classed by the counter for
+/// its path, then the counter learns whether it was right, before the
+/// predictor's own immediate update.
+pub struct ConfidenceObserver {
+    estimator: ConfidenceEstimator,
+    stats: ConfidenceStats,
+}
+
+impl ConfidenceObserver {
+    /// Observes with a fresh [`ConfidenceEstimator`], from zeroed counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid.
+    pub fn new(cfg: ConfidenceConfig) -> ConfidenceObserver {
+        ConfidenceObserver {
+            estimator: ConfidenceEstimator::new(cfg),
+            stats: ConfidenceStats::default(),
         }
-        estimator.update(predictor.history(), correct);
-        predictor.update(r);
     }
-    stats
+
+    /// The confidence counts, completed with the replay's own accuracy.
+    pub fn finish(self, prediction: PredictorStats) -> ConfidenceStats {
+        ConfidenceStats {
+            prediction,
+            ..self.stats
+        }
+    }
+}
+
+impl Observer<NextTracePredictor> for ConfidenceObserver {
+    fn observe(
+        &mut self,
+        _: usize,
+        pred: &Prediction,
+        actual: &TraceRecord,
+        predictor: &NextTracePredictor,
+    ) {
+        let confident = self.estimator.is_confident(predictor.history());
+        let correct = pred.is_correct(actual.id());
+        match (confident, correct) {
+            (true, true) => self.stats.high_correct += 1,
+            (true, false) => self.stats.high_wrong += 1,
+            (false, true) => self.stats.low_correct += 1,
+            (false, false) => self.stats.low_wrong += 1,
+        }
+        self.estimator.update(predictor.history(), correct);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PredictorConfig;
+    use crate::{replay_one, PredictorConfig};
     use ntp_trace::TraceId;
+
+    /// Replays [`mixed_stream`] through a paper(15,3) predictor with a
+    /// depth-3 estimator of the given threshold riding along.
+    fn run(threshold: u8) -> ConfidenceStats {
+        let mut p = NextTracePredictor::new(PredictorConfig::paper(15, 3));
+        let obs = ConfidenceObserver::new(ConfidenceConfig {
+            threshold,
+            dolc: Dolc::standard(3, 15),
+            ..ConfidenceConfig::paper_like()
+        });
+        let (prediction, obs) = replay_one(&mut p, &mixed_stream(2_000), obs);
+        obs.finish(prediction)
+    }
 
     fn rec(pc: u32) -> TraceRecord {
         TraceRecord::new(TraceId::new(pc, 0, 0), 10, 0, false, false)
@@ -263,13 +292,7 @@ mod tests {
 
     #[test]
     fn high_confidence_is_much_more_accurate() {
-        let mut p = NextTracePredictor::new(PredictorConfig::paper(15, 3));
-        let mut est = ConfidenceEstimator::new(ConfidenceConfig {
-            threshold: 4,
-            dolc: Dolc::standard(3, 15),
-            ..ConfidenceConfig::paper_like()
-        });
-        let stats = evaluate_with_confidence(&mut p, &mut est, &mixed_stream(2_000));
+        let stats = run(4);
         assert!(stats.coverage() > 0.5, "coverage {}", stats.coverage());
         assert!(
             stats.high_mispredict_pct() * 3.0 < stats.low_mispredict_pct(),
@@ -286,15 +309,6 @@ mod tests {
 
     #[test]
     fn threshold_trades_coverage_for_purity() {
-        let run = |threshold: u8| {
-            let mut p = NextTracePredictor::new(PredictorConfig::paper(15, 3));
-            let mut est = ConfidenceEstimator::new(ConfidenceConfig {
-                threshold,
-                dolc: Dolc::standard(3, 15),
-                ..ConfidenceConfig::paper_like()
-            });
-            evaluate_with_confidence(&mut p, &mut est, &mixed_stream(2_000))
-        };
         let lax = run(1);
         let strict = run(8);
         assert!(lax.coverage() > strict.coverage());
@@ -311,13 +325,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn threshold_above_saturation_rejected() {
-        ConfidenceConfig {
+        assert!(ConfidenceConfig {
             counter_bits: 2,
             threshold: 4,
             ..ConfidenceConfig::paper_like()
         }
-        .validate();
+        .validate()
+        .is_err());
     }
 }

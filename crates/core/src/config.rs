@@ -71,7 +71,7 @@ impl PredictorConfig {
             alternate: false,
             stored_target: StoredTarget::Full,
         };
-        cfg.try_validate()?;
+        cfg.validate()?;
         Ok(cfg)
     }
 
@@ -115,10 +115,9 @@ impl PredictorConfig {
         self.corr_entry_bits() * self.corr_entries() as u64
     }
 
-    /// Validates the configuration without panicking: table sizes, tag
-    /// width, counter policies and DOLC consistency (see
-    /// [`Dolc::try_validate`]).
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
+    /// Validates the configuration: table sizes, tag width, counter
+    /// policies and DOLC consistency (see [`Dolc::validate`]).
+    pub fn validate(&self) -> Result<(), ConfigError> {
         in_range("predictor.index_bits", self.index_bits as u64, 1, 30)?;
         in_range(
             "predictor.secondary_index_bits",
@@ -127,26 +126,13 @@ impl PredictorConfig {
             20,
         )?;
         in_range("predictor.tag_bits", self.tag_bits as u64, 0, 16)?;
-        self.primary_counter.try_validate()?;
-        self.secondary_counter.try_validate()?;
-        self.dolc.try_validate()?;
+        self.primary_counter.validate()?;
+        self.secondary_counter.validate()?;
+        self.dolc.validate()?;
         if let Some(rhs) = &self.rhs {
             in_range("predictor.rhs.max_depth", rhs.max_depth as u64, 1, 1 << 20)?;
         }
         Ok(())
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero-sized tables, tags wider than 16 bits, invalid
-    /// counters, or an inconsistent DOLC — see
-    /// [`PredictorConfig::try_validate`].
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("invalid predictor config: {e}");
-        }
     }
 }
 
@@ -157,7 +143,7 @@ mod tests {
     #[test]
     fn paper_config_shape() {
         let c = PredictorConfig::paper(15, 7);
-        c.validate();
+        assert!(c.validate().is_ok());
         assert_eq!(c.corr_entries(), 1 << 15);
         assert_eq!(c.history_capacity(), 8);
         assert_eq!(c.corr_entry_bits(), 48); // 36 + 2 + 10, the paper's number
@@ -195,12 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn try_validate_names_hostile_fields() {
+    fn validate_names_hostile_fields() {
         use crate::ConfigError;
         let mut c = PredictorConfig::paper(15, 3);
         c.index_bits = 0;
         assert!(matches!(
-            c.try_validate(),
+            c.validate(),
             Err(ConfigError::OutOfRange {
                 field: "predictor.index_bits",
                 value: 0,
@@ -210,7 +196,7 @@ mod tests {
         let mut c = PredictorConfig::paper(15, 3);
         c.tag_bits = 17;
         assert!(matches!(
-            c.try_validate(),
+            c.validate(),
             Err(ConfigError::OutOfRange {
                 field: "predictor.tag_bits",
                 value: 17,
@@ -219,7 +205,7 @@ mod tests {
         ));
         let mut c = PredictorConfig::paper(15, 3);
         c.dolc.older = 9; // depth-3 DOLC with a legal-but-different width is fine...
-        assert!(c.try_validate().is_ok());
+        assert!(c.validate().is_ok());
         c.dolc = Dolc {
             depth: 0,
             older: 4,
@@ -227,7 +213,7 @@ mod tests {
             current: 12,
         }; // ...but phantom history bits are not.
         assert!(matches!(
-            c.try_validate(),
+            c.validate(),
             Err(ConfigError::UnusedHistoryBits { .. })
         ));
     }

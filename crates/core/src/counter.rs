@@ -57,9 +57,9 @@ impl CounterSpec {
         ((1u16 << self.bits) - 1) as u8
     }
 
-    /// Validates the spec without panicking: the width must be 1–8 bits and
+    /// Validates the spec: the width must be 1–8 bits and
     /// both steps nonzero (a counter that cannot move encodes nothing).
-    pub fn try_validate(self) -> Result<(), crate::ConfigError> {
+    pub fn validate(self) -> Result<(), crate::ConfigError> {
         crate::error::in_range("counter.bits", self.bits as u64, 1, 8)?;
         if self.inc == 0 {
             return Err(crate::ConfigError::ZeroCounterStep { field: "inc" });
@@ -68,17 +68,6 @@ impl CounterSpec {
             return Err(crate::ConfigError::ZeroCounterStep { field: "dec" });
         }
         Ok(())
-    }
-
-    /// Validates the spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`CounterSpec::try_validate`] rejects the spec.
-    pub fn validate(self) {
-        if let Err(e) = self.try_validate() {
-            panic!("invalid counter spec {self}: {e}");
-        }
     }
 }
 
@@ -192,18 +181,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn zero_width_rejected() {
-        CounterSpec {
+        assert!(CounterSpec {
             bits: 0,
             inc: 1,
             dec: 1,
         }
-        .validate();
+        .validate()
+        .is_err());
     }
 
     #[test]
-    fn try_validate_names_the_fault() {
+    fn validate_names_the_fault() {
         use crate::ConfigError;
         let wide = CounterSpec {
             bits: 9,
@@ -211,7 +200,7 @@ mod tests {
             dec: 1,
         };
         assert!(matches!(
-            wide.try_validate(),
+            wide.validate(),
             Err(ConfigError::OutOfRange {
                 field: "counter.bits",
                 value: 9,
@@ -224,7 +213,7 @@ mod tests {
             dec: 1,
         };
         assert_eq!(
-            stuck.try_validate(),
+            stuck.validate(),
             Err(ConfigError::ZeroCounterStep { field: "inc" })
         );
         let frozen = CounterSpec {
@@ -233,10 +222,10 @@ mod tests {
             dec: 0,
         };
         assert_eq!(
-            frozen.try_validate(),
+            frozen.validate(),
             Err(ConfigError::ZeroCounterStep { field: "dec" })
         );
-        assert!(CounterSpec::PRIMARY.try_validate().is_ok());
-        assert!(CounterSpec::SECONDARY.try_validate().is_ok());
+        assert!(CounterSpec::PRIMARY.validate().is_ok());
+        assert!(CounterSpec::SECONDARY.validate().is_ok());
     }
 }

@@ -60,7 +60,7 @@ impl Dolc {
     ///   those fields ([`Dolc::index`] only gathers `older` bits for slots
     ///   `2..=depth` and `last` bits when `depth >= 1`), so accepting them
     ///   would let a swept configuration claim history it never reads.
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         in_range("dolc.older", self.older as u64, 0, 16)?;
         in_range("dolc.last", self.last as u64, 0, 16)?;
         in_range("dolc.current", self.current as u64, 0, 16)?;
@@ -79,17 +79,6 @@ impl Dolc {
             return Err(ConfigError::TooManyGatheredBits { total, max: 120 });
         }
         Ok(())
-    }
-
-    /// Validates field widths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Dolc::try_validate`] rejects the configuration.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("invalid DOLC {self}: {e}");
-        }
     }
 
     /// Computes the table index from the history register.
@@ -239,7 +228,7 @@ impl Dolc {
             last,
             current,
         };
-        d.try_validate()?;
+        d.validate()?;
         Ok(d)
     }
 }
@@ -358,7 +347,7 @@ mod tests {
                 current: 12,
             };
             assert_eq!(
-                d.try_validate(),
+                d.validate(),
                 Err(ConfigError::UnusedHistoryBits {
                     depth: 0,
                     older,
@@ -375,7 +364,7 @@ mod tests {
             current: 12,
         };
         assert!(matches!(
-            d1.try_validate(),
+            d1.validate(),
             Err(ConfigError::UnusedHistoryBits { depth: 1, .. })
         ));
         // The honest forms are fine.
@@ -385,7 +374,7 @@ mod tests {
             last: 0,
             current: 12
         }
-        .try_validate()
+        .validate()
         .is_ok());
         assert!(Dolc {
             depth: 1,
@@ -393,24 +382,25 @@ mod tests {
             last: 8,
             current: 12
         }
-        .try_validate()
+        .validate()
         .is_ok());
     }
 
     #[test]
-    #[should_panic(expected = "never reads")]
-    fn validate_panics_on_phantom_history_bits() {
-        Dolc {
+    fn validate_rejects_phantom_history_bits() {
+        let err = Dolc {
             depth: 0,
             older: 4,
             last: 4,
             current: 12,
         }
-        .validate();
+        .validate()
+        .expect_err("depth 0 never reads older/last bits");
+        assert!(err.to_string().contains("never reads"), "{err}");
     }
 
     #[test]
-    fn try_validate_rejects_wide_fields_and_totals() {
+    fn validate_rejects_wide_fields_and_totals() {
         assert!(matches!(
             Dolc {
                 depth: 2,
@@ -418,7 +408,7 @@ mod tests {
                 last: 8,
                 current: 8
             }
-            .try_validate(),
+            .validate(),
             Err(ConfigError::OutOfRange {
                 field: "dolc.older",
                 ..
@@ -432,7 +422,7 @@ mod tests {
                 last: 16,
                 current: 16
             }
-            .try_validate(),
+            .validate(),
             Err(ConfigError::TooManyGatheredBits { total: 160, .. })
         ));
     }

@@ -5,11 +5,12 @@
 //! hostile or typo'd configuration could only be detected by catching an
 //! unwinding panic — or worse, slipped through validation entirely and hung
 //! or silently truncated a run (the `ntp-verify` fault-injection sweep
-//! exists to catch exactly that class of fault). The `try_validate` family
-//! returns a [`ConfigError`] instead, so front ends (CLI, bench binaries,
-//! the verification harness) can reject bad configs up front with a clean
-//! diagnostic. The panicking `validate` entry points remain as thin
-//! wrappers for internal call sites whose configs are statically known-good.
+//! exists to catch exactly that class of fault). Each configuration type
+//! now has one `validate` returning a [`ConfigError`], so front ends (CLI,
+//! bench binaries, the server, the verification harness) reject bad
+//! configs up front with a clean diagnostic: `cfg.validate()?` and then the
+//! type's `new`. The constructors still panic on an invalid config, for
+//! call sites whose configs are statically known-good.
 
 use std::fmt;
 
@@ -114,7 +115,7 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Shorthand used by the `try_validate` implementations.
+/// Shorthand used by the `validate` implementations.
 pub(crate) fn in_range(
     field: &'static str,
     value: u64,

@@ -16,11 +16,13 @@
 //!   [`ReturnHistoryStack`] (§3.4), alternate prediction (§6), and the
 //!   cost-reduced hashed-target entry format (§5.5);
 //! * [`UnboundedPredictor`] — the no-aliasing model of §5.2 (Figure 6);
-//! * [`evaluate`]/[`PredictorStats`] — the immediate-update replay
-//!   methodology of §4.1;
-//! * [`evaluate_batch`]/[`predict_batch`]/[`update_batch`] — gathered
-//!   sweeps over many independent sessions (bit-identical to the scalar
-//!   loop, overlapping the table gathers).
+//! * [`replay`]/[`PredictorStats`] — the immediate-update replay
+//!   methodology of §4.1 as one kernel over [`Lane`]s: predict, score,
+//!   show the step to the lane's [`Observer`], update. One lane is scalar
+//!   replay ([`evaluate`]); two or more interleave one record per lane per
+//!   round and overlap their table gathers (bit-identical per lane).
+//!   Observers: `()` for none, [`SinkObserver`] for telemetry events and
+//!   miss streaks, [`ConfidenceObserver`] for confidence assignment.
 //!
 //! # Example
 //!
@@ -42,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod confidence;
 mod config;
 mod counter;
@@ -51,17 +52,13 @@ mod error;
 mod history;
 mod prediction;
 mod predictor;
+mod replay;
 mod rhs;
 mod stats;
 mod telemetry;
 mod unbounded;
 
-pub use batch::{
-    evaluate_batch, evaluate_batch_fresh, evaluate_serial, predict_batch, update_batch, BatchLane,
-};
-pub use confidence::{
-    evaluate_with_confidence, ConfidenceConfig, ConfidenceEstimator, ConfidenceStats,
-};
+pub use confidence::{ConfidenceConfig, ConfidenceEstimator, ConfidenceObserver, ConfidenceStats};
 pub use config::{PredictorConfig, StoredTarget};
 pub use counter::{Counter, CounterSpec};
 pub use dolc::Dolc;
@@ -72,7 +69,8 @@ pub use predictor::{
     AliasingCounters, Checkpoint, IndexSnapshot, NextTracePredictor, PredictorState, StateError,
     TableOccupancy,
 };
+pub use replay::{evaluate, evaluate_batch_fresh, replay, replay_one, Lane, Observer};
 pub use rhs::{ReturnHistoryStack, RhsConfig, RHS_SNAPSHOT_CAP};
-pub use stats::{evaluate, PredictorStats, PREDICTOR_STATS_FIELDS};
-pub use telemetry::{evaluate_with_sink, predictor_section};
+pub use stats::{PredictorStats, PREDICTOR_STATS_FIELDS};
+pub use telemetry::{predictor_section, SinkObserver};
 pub use unbounded::{UnboundedConfig, UnboundedPredictor};

@@ -94,4 +94,10 @@ pub trait TracePredictor {
     fn history_len(&self) -> usize {
         0
     }
+
+    /// Hints the cache that the next [`TracePredictor::predict`] will
+    /// probe the tables. [`crate::replay`] issues it for every lane before
+    /// resolving any when it replays two or more lanes. A pure hint that
+    /// never changes behaviour; the default does nothing.
+    fn prefetch(&self) {}
 }

@@ -24,8 +24,8 @@
 //! alternate array is never read at all when the §6 alternate prediction is
 //! disabled. The layout is guarded by `const` assertions below so a future
 //! field addition fails the build instead of silently fattening the hot
-//! arrays. Batched multi-session sweeps over this layout live in
-//! [`crate::evaluate_batch`] / [`crate::predict_batch`].
+//! arrays. Gathered multi-session sweeps over this layout run through
+//! [`crate::replay`].
 
 use crate::{
     Counter, PathHistory, Prediction, PredictorConfig, ReturnHistoryStack, Source, StoredTarget,
@@ -427,17 +427,9 @@ impl NextTracePredictor {
     /// Panics if the configuration is invalid (see
     /// [`PredictorConfig::validate`]).
     pub fn new(cfg: PredictorConfig) -> NextTracePredictor {
-        match NextTracePredictor::try_new(cfg) {
-            Ok(p) => p,
-            Err(e) => panic!("invalid predictor config: {e}"),
+        if let Err(e) = cfg.validate() {
+            panic!("invalid predictor config: {e}");
         }
-    }
-
-    /// Builds a predictor, rejecting invalid configurations with a typed
-    /// [`crate::ConfigError`] instead of panicking — the entry point for
-    /// front ends handed an arbitrary (possibly hostile) configuration.
-    pub fn try_new(cfg: PredictorConfig) -> Result<NextTracePredictor, crate::ConfigError> {
-        cfg.try_validate()?;
         let mut p = NextTracePredictor {
             history: PathHistory::new(cfg.history_capacity()),
             rhs: cfg.rhs.map(ReturnHistoryStack::new),
@@ -448,7 +440,7 @@ impl NextTracePredictor {
             cached_idx: IndexSnapshot::default(),
         };
         p.refresh_indices();
-        Ok(p)
+        p
     }
 
     /// The configuration in force.
@@ -495,11 +487,10 @@ impl NextTracePredictor {
     }
 
     /// Hints the cache that the table lines named by the current index
-    /// snapshot are about to be probed. The gathered-probe pass of the
-    /// batch sweeps ([`crate::evaluate_batch`], [`crate::predict_batch`])
-    /// issues this across many sessions before resolving any of them, so
-    /// the gathers overlap instead of serializing on each miss. A pure
-    /// hint: no-op off x86_64, never changes behaviour.
+    /// snapshot are about to be probed. The gathered-probe pass of
+    /// [`crate::replay`] issues this across many lanes before resolving
+    /// any of them, so the gathers overlap instead of serializing on each
+    /// miss. A pure hint: no-op off x86_64, never changes behaviour.
     #[inline]
     pub fn prefetch_tables(&self) {
         let c = self.cached_idx.corr_index as usize;
@@ -855,6 +846,11 @@ impl TracePredictor for NextTracePredictor {
 
     fn history_len(&self) -> usize {
         self.history.len()
+    }
+
+    #[inline]
+    fn prefetch(&self) {
+        self.prefetch_tables();
     }
 }
 

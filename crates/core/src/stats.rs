@@ -1,6 +1,6 @@
-//! Accuracy accounting and the replay evaluation driver.
+//! Accuracy accounting.
 
-use crate::{Prediction, Source, TracePredictor};
+use crate::{Prediction, Source};
 use ntp_trace::TraceRecord;
 use std::fmt;
 
@@ -147,35 +147,6 @@ impl fmt::Display for PredictorStats {
             self.cold
         )
     }
-}
-
-/// Replays a recorded trace stream through a predictor with immediate
-/// updates (the methodology of §4.1) and returns accuracy statistics.
-///
-/// # Examples
-///
-/// ```
-/// use ntp_core::{evaluate, NextTracePredictor, PredictorConfig};
-/// use ntp_trace::{TraceId, TraceRecord};
-///
-/// let records: Vec<TraceRecord> = (0..100)
-///     .map(|k| TraceRecord::new(TraceId::new(0x0040_0000 + (k % 4) * 64, 0, 0), 16, 0, false, false))
-///     .collect();
-/// let mut p = NextTracePredictor::new(PredictorConfig::paper(12, 3));
-/// let stats = evaluate(&mut p, &records);
-/// assert!(stats.mispredict_pct() < 20.0, "a 4-cycle is easy: {stats}");
-/// ```
-pub fn evaluate<P: TracePredictor + ?Sized>(
-    predictor: &mut P,
-    records: &[TraceRecord],
-) -> PredictorStats {
-    let mut stats = PredictorStats::new();
-    for r in records {
-        let pred = predictor.predict();
-        stats.score(&pred, r);
-        predictor.update(r);
-    }
-    stats
 }
 
 #[cfg(test)]

@@ -1,15 +1,16 @@
 //! Telemetry integration: JSON serialization for every stats struct in the
-//! crate, plus an instrumented replay driver emitting
-//! [`PredictionEvent`]s and a misprediction-streak histogram.
+//! crate, plus the replay observer emitting [`PredictionEvent`]s and a
+//! misprediction-streak histogram.
 //!
 //! Everything here is strictly off the prediction hot path except
-//! [`evaluate_with_sink`], which checks [`EventSink::enabled`] once per
-//! prediction (a branch on a bool) and constructs events only when a real
-//! sink is attached — keeping the ≤5 % telemetry-overhead budget.
+//! [`SinkObserver`], which asks [`EventSink::enabled`] once per prediction
+//! (a constant for each concrete sink, so the test folds away) and
+//! constructs events only when a real sink is attached — keeping the ≤5 %
+//! telemetry-overhead budget.
 
 use crate::{
-    AliasingCounters, ConfidenceStats, NextTracePredictor, PredictorConfig, PredictorStats, Source,
-    StoredTarget, TableOccupancy, TracePredictor,
+    AliasingCounters, ConfidenceStats, NextTracePredictor, Observer, Prediction, PredictorConfig,
+    PredictorStats, Source, StoredTarget, TableOccupancy, TracePredictor,
 };
 use ntp_telemetry::{EventSink, EventSource, Histogram, Json, PredictionEvent, ToJson};
 use ntp_trace::TraceRecord;
@@ -130,76 +131,92 @@ fn event_source(s: Source) -> EventSource {
     }
 }
 
-/// [`crate::evaluate`] with instrumentation riding along: each prediction is
-/// offered to `sink` as a [`PredictionEvent`] (skipped entirely when the
-/// sink reports itself disabled), and runs of consecutive primary
-/// mispredictions are recorded into the returned streak [`Histogram`].
+/// The instrumented replay's [`Observer`]: each prediction is offered to
+/// `sink` as a [`PredictionEvent`] (skipped entirely when the sink reports
+/// itself disabled), and runs of consecutive primary mispredictions are
+/// recorded into a streak [`Histogram`].
 ///
 /// # Examples
 ///
 /// ```
-/// use ntp_core::{evaluate_with_sink, NextTracePredictor, PredictorConfig};
+/// use ntp_core::{replay_one, NextTracePredictor, PredictorConfig, SinkObserver};
 /// use ntp_telemetry::{NullSink, TraceLog};
 /// use ntp_trace::{TraceId, TraceRecord};
 ///
-/// let records: Vec<TraceRecord> = (0..200)
-///     .map(|k| TraceRecord::new(TraceId::new(0x0040_0000 + (k % 5) * 64, 0, 0), 16, 0, false, false))
+/// // 200 distinct traces: nothing ever repeats, so every prediction
+/// // misses and the whole replay is one 200-long streak.
+/// let fresh: Vec<TraceRecord> = (0..200)
+///     .map(|k| TraceRecord::new(TraceId::new(0x0040_0000 + k * 64, 0, 0), 16, 0, false, false))
 ///     .collect();
-///
-/// // Free mode: the null sink skips event construction entirely.
 /// let mut p = NextTracePredictor::new(PredictorConfig::paper(12, 3));
-/// let (stats, streaks) = evaluate_with_sink(&mut p, &records, &mut NullSink);
-/// assert_eq!(stats.predictions, 200);
-/// assert_eq!(streaks.count(), streaks.count()); // cold-start streak recorded
+/// let mut sink = NullSink;
+/// let (stats, obs) = replay_one(&mut p, &fresh, SinkObserver::new(&mut sink));
+/// let streaks = obs.into_streaks();
+/// assert_eq!(stats.correct, 0);
+/// assert_eq!((streaks.count(), streaks.sum()), (1, 200));
 ///
 /// // Forensics mode: a TraceLog keeps sampled events.
 /// let mut log = TraceLog::new(64, 1);
 /// let mut p = NextTracePredictor::new(PredictorConfig::paper(12, 3));
-/// let _ = evaluate_with_sink(&mut p, &records, &mut log);
+/// let _ = replay_one(&mut p, &fresh, SinkObserver::new(&mut log));
 /// assert_eq!(log.offered(), 200);
 /// ```
-pub fn evaluate_with_sink<P: TracePredictor + ?Sized, S: EventSink + ?Sized>(
-    predictor: &mut P,
-    records: &[TraceRecord],
-    sink: &mut S,
-) -> (PredictorStats, Histogram) {
-    let mut stats = PredictorStats::new();
-    let mut streaks = Histogram::new();
-    let mut streak: u64 = 0;
-    let emit = sink.enabled();
-    for (i, r) in records.iter().enumerate() {
-        let pred = predictor.predict();
-        let hit = pred.is_correct(r.id());
-        if emit {
-            sink.record(&PredictionEvent {
-                index: i as u64,
+pub struct SinkObserver<'s, S: ?Sized> {
+    sink: &'s mut S,
+    streak: u64,
+    streaks: Histogram,
+}
+
+impl<'s, S: EventSink + ?Sized> SinkObserver<'s, S> {
+    /// Observes into `sink`, with an empty streak histogram.
+    pub fn new(sink: &'s mut S) -> SinkObserver<'s, S> {
+        SinkObserver {
+            sink,
+            streak: 0,
+            streaks: Histogram::new(),
+        }
+    }
+
+    /// The misprediction-streak histogram, counting a streak still open at
+    /// the end of the replay.
+    pub fn into_streaks(mut self) -> Histogram {
+        if self.streak > 0 {
+            self.streaks.record(self.streak);
+        }
+        self.streaks
+    }
+}
+
+impl<P, S> Observer<P> for SinkObserver<'_, S>
+where
+    P: TracePredictor + ?Sized,
+    S: EventSink + ?Sized,
+{
+    #[inline]
+    fn observe(&mut self, index: usize, pred: &Prediction, actual: &TraceRecord, predictor: &P) {
+        let hit = pred.is_correct(actual.id());
+        if self.sink.enabled() {
+            self.sink.record(&PredictionEvent {
+                index: index as u64,
                 source: event_source(pred.source),
                 hit,
-                alternate_hit: !hit && pred.alternate_correct(r.id()),
+                alternate_hit: !hit && pred.alternate_correct(actual.id()),
                 history_len: predictor.history_len().min(u8::MAX as usize) as u8,
             });
         }
-        if hit {
-            if streak > 0 {
-                streaks.record(streak);
-                streak = 0;
-            }
-        } else {
-            streak += 1;
+        if !hit {
+            self.streak += 1;
+        } else if self.streak > 0 {
+            self.streaks.record(self.streak);
+            self.streak = 0;
         }
-        stats.score(&pred, r);
-        predictor.update(r);
     }
-    if streak > 0 {
-        streaks.record(streak);
-    }
-    (stats, streaks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate;
+    use crate::{evaluate, replay_one};
     use ntp_telemetry::{NullSink, TraceLog};
     use ntp_trace::TraceId;
 
@@ -221,17 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn sink_matches_plain_evaluate() {
-        let records = cycle(4, 400);
-        let plain = evaluate(&mut small(), &records);
-        let (with_sink, _) = evaluate_with_sink(&mut small(), &records, &mut NullSink);
-        assert_eq!(plain, with_sink, "instrumentation must not change scoring");
-    }
-
-    #[test]
     fn streak_histogram_totals_mispredictions() {
         let records = cycle(4, 400);
-        let (stats, streaks) = evaluate_with_sink(&mut small(), &records, &mut NullSink);
+        let mut sink = NullSink;
+        let (stats, obs) = replay_one(&mut small(), &records, SinkObserver::new(&mut sink));
+        let streaks = obs.into_streaks();
         let missed = stats.predictions - stats.correct;
         assert_eq!(streaks.sum(), missed, "streak lengths sum to total misses");
         assert!(
@@ -244,7 +255,7 @@ mod tests {
     fn trace_log_captures_events_with_history_depth() {
         let records = cycle(3, 60);
         let mut log = TraceLog::new(128, 1);
-        let _ = evaluate_with_sink(&mut small(), &records, &mut log);
+        let _ = replay_one(&mut small(), &records, SinkObserver::new(&mut log));
         assert_eq!(log.offered(), 60);
         let deep = log.iter().filter(|e| e.history_len > 0).count();
         assert!(deep > 0, "history occupancy reaches the events");

@@ -62,12 +62,12 @@ impl UnboundedConfig {
         }
     }
 
-    /// Validates the configuration without panicking: the study covers
+    /// Validates the configuration: the study covers
     /// depths 0–7, and both counter policies must be well formed.
-    pub fn try_validate(&self) -> Result<(), crate::ConfigError> {
+    pub fn validate(&self) -> Result<(), crate::ConfigError> {
         crate::error::in_range("unbounded.depth", self.depth as u64, 0, 7)?;
-        self.primary_counter.try_validate()?;
-        self.secondary_counter.try_validate()?;
+        self.primary_counter.validate()?;
+        self.secondary_counter.validate()?;
         if let Some(rhs) = &self.rhs {
             crate::error::in_range("unbounded.rhs.max_depth", rhs.max_depth as u64, 1, 1 << 20)?;
         }
@@ -118,23 +118,16 @@ impl UnboundedPredictor {
     ///
     /// Panics if `depth > 7` or a counter policy is invalid.
     pub fn new(cfg: UnboundedConfig) -> UnboundedPredictor {
-        match UnboundedPredictor::try_new(cfg) {
-            Ok(p) => p,
-            Err(e) => panic!("invalid unbounded config: {e}"),
+        if let Err(e) = cfg.validate() {
+            panic!("invalid unbounded config: {e}");
         }
-    }
-
-    /// Builds an unbounded predictor, rejecting invalid configurations with
-    /// a typed error instead of panicking.
-    pub fn try_new(cfg: UnboundedConfig) -> Result<UnboundedPredictor, crate::ConfigError> {
-        cfg.try_validate()?;
-        Ok(UnboundedPredictor {
+        UnboundedPredictor {
             history: PathHistory::new(cfg.depth + 1),
             rhs: cfg.rhs.map(ReturnHistoryStack::new),
             corr: HashMap::default(),
             sec: HashMap::default(),
             cfg,
-        })
+        }
     }
 
     /// The configuration in force.

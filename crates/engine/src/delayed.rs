@@ -39,7 +39,7 @@ impl EngineConfig {
     /// reach a state where the in-flight queue is empty, nothing can ever
     /// retire, and the stall loop spins forever. Rejecting the config here
     /// turns that hang into an immediate, named diagnostic.
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.issue_width == 0 {
             return Err(ConfigError::OutOfRange {
                 field: "engine.issue_width",
@@ -55,17 +55,6 @@ impl EngineConfig {
             });
         }
         Ok(())
-    }
-
-    /// Panicking form of [`EngineConfig::try_validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] diagnostic if the config is invalid.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("invalid engine config: {e}");
-        }
     }
 }
 
@@ -145,28 +134,19 @@ impl DelayedUpdateEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`EngineConfig::try_validate`] — in particular
+    /// Panics if `cfg` fails [`EngineConfig::validate`] — in particular
     /// if the instruction window is smaller than the maximum trace length,
     /// which previously hung `run` in an unbounded stall loop.
     pub fn new(predictor: NextTracePredictor, cfg: EngineConfig) -> DelayedUpdateEngine {
-        match DelayedUpdateEngine::try_new(predictor, cfg) {
-            Ok(e) => e,
-            Err(e) => panic!("invalid engine config: {e}"),
+        if let Err(e) = cfg.validate() {
+            panic!("invalid engine config: {e}");
         }
-    }
-
-    /// Non-panicking constructor: validates `cfg` first.
-    pub fn try_new(
-        predictor: NextTracePredictor,
-        cfg: EngineConfig,
-    ) -> Result<DelayedUpdateEngine, ConfigError> {
-        cfg.try_validate()?;
-        Ok(DelayedUpdateEngine {
+        DelayedUpdateEngine {
             predictor,
             cfg,
             in_flight: VecDeque::new(),
             occupancy: 0,
-        })
+        }
     }
 
     /// The wrapped predictor (e.g. to inspect after a run).
@@ -360,17 +340,9 @@ mod tests {
             window: 8,
             mispredict_penalty: 8,
         };
-        let err = cfg.try_validate().expect_err("window 8 must be rejected");
+        let err = cfg.validate().expect_err("window 8 must be rejected");
         let msg = err.to_string();
         assert!(msg.contains("window"), "diagnostic names the field: {msg}");
-        assert!(
-            DelayedUpdateEngine::try_new(
-                NextTracePredictor::new(PredictorConfig::paper(12, 3)),
-                cfg
-            )
-            .is_err(),
-            "try_new must refuse the hanging config"
-        );
     }
 
     #[test]
@@ -393,7 +365,7 @@ mod tests {
             window: 64,
             mispredict_penalty: 8,
         };
-        assert!(cfg.try_validate().is_err());
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

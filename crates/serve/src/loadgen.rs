@@ -363,8 +363,7 @@ fn run_session(
 
     // The offline oracle: an identical predictor replaying the identical
     // stream in-process.
-    let mut oracle_pred = NextTracePredictor::try_new(pcfg)
-        .map_err(|e| ClientError::Protocol(format!("oracle config rejected: {e}")))?;
+    let mut oracle_pred = NextTracePredictor::new(pcfg);
     let oracle = evaluate(&mut oracle_pred, &spec.records);
 
     Ok(SessionRun {
@@ -713,9 +712,7 @@ pub fn run_open_loop(
                 oracles.push((
                     i,
                     OpenOracle {
-                        predictor: NextTracePredictor::try_new(pcfg).map_err(|e| {
-                            ClientError::Protocol(format!("oracle config rejected: {e}"))
-                        })?,
+                        predictor: NextTracePredictor::new(pcfg),
                         stats: PredictorStats::new(),
                         applied: 0,
                         busy: 0,

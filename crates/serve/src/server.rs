@@ -59,7 +59,7 @@ use crate::config::ServeConfig;
 use crate::event::{self, ConnRouter};
 use crate::poll::WakeFd;
 use crate::wire::{self, ErrorCode, Request, Response};
-use ntp_core::{NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
+use ntp_core::{evaluate, NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
 use ntp_telemetry::{
     CounterId, GaugeId, HistogramId, MetricsRegistry, RollingWindow, Snapshot, ToJson,
 };
@@ -174,7 +174,7 @@ pub struct ShardSummary {
     /// Requests that drained through a batched sweep: the shard found two
     /// or more routed requests queued and prefetched every target
     /// session's table lines before resolving any of them (see
-    /// `ntp_core::evaluate_batch`). Load-dependent — only a busy queue
+    /// `ntp_core::replay`). Load-dependent — only a busy queue
     /// batches — so this is a volatile counter, not a determinism gate.
     pub batched: u64,
     /// Requests that arrived pre-coalesced: an event loop decoded two or
@@ -1063,7 +1063,7 @@ const MAX_DRAIN: usize = 64;
 /// Each wake-up drains the queue opportunistically (up to [`MAX_DRAIN`]
 /// jobs). When the drain picks up two or more routed requests — distinct
 /// sessions queued by concurrent connections — the shard runs the same
-/// gathered sweep as `ntp_core::evaluate_batch`: one prefetch pass over
+/// gathered sweep as `ntp_core::replay`: one prefetch pass over
 /// every target session's table lines, then the resolve pass in strict
 /// arrival order. Replies, session state and metrics are identical to
 /// one-at-a-time processing; only the cache misses overlap.
@@ -1218,15 +1218,8 @@ fn apply(shard_id: u32, sessions: &mut HashMap<u64, Session>, req: &Request) -> 
                     }
                 }
             };
-            let predictor = match NextTracePredictor::try_new(cfg) {
-                Ok(p) => p,
-                Err(e) => {
-                    return Response::Error {
-                        code: ErrorCode::BadConfig,
-                        message: format!("paper({bits},{depth}) rejected: {e}"),
-                    }
-                }
-            };
+            // `try_paper` validated the config, so `new` cannot panic.
+            let predictor = NextTracePredictor::new(cfg);
             sessions.insert(
                 *session,
                 Session {
@@ -1246,27 +1239,22 @@ fn apply(shard_id: u32, sessions: &mut HashMap<u64, Session>, req: &Request) -> 
                 source: pred.source,
             }
         }),
+        // Both replay through the core kernel; every `PredictorStats`
+        // field is an additive counter, so merging the request's stats
+        // into the session's is exact.
         Request::Update { session, record } => with_session(sessions, *session, |s| {
-            let pred = s.predictor.predict();
-            s.stats.score(&pred, record);
-            s.predictor.update(record);
+            let done = evaluate(&mut s.predictor, std::slice::from_ref(record));
+            s.stats.merge(&done);
             Response::Updated {
-                correct: pred.is_correct(record.id()),
+                correct: done.correct == 1,
             }
         }),
         Request::Batch { session, records } => with_session(sessions, *session, |s| {
-            let mut correct = 0u64;
-            for record in records {
-                let pred = s.predictor.predict();
-                s.stats.score(&pred, record);
-                if pred.is_correct(record.id()) {
-                    correct += 1;
-                }
-                s.predictor.update(record);
-            }
+            let done = evaluate(&mut s.predictor, records);
+            s.stats.merge(&done);
             Response::BatchDone {
-                predictions: records.len() as u64,
-                correct,
+                predictions: done.predictions,
+                correct: done.correct,
             }
         }),
         Request::Stats { session } => with_session(sessions, *session, |s| Response::StatsOk {

@@ -66,7 +66,7 @@ pub trait EventSink {
     /// Offers one event. Implementations decide whether to keep it.
     fn record(&mut self, ev: &PredictionEvent);
 
-    /// True when `record` is a no-op, letting emitters skip event
+    /// False when `record` is a no-op, letting emitters skip event
     /// construction entirely on the hot path.
     fn enabled(&self) -> bool {
         true

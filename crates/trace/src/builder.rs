@@ -53,10 +53,10 @@ impl TraceConfig {
         }
     }
 
-    /// Validates the limits without panicking: `max_len` must be
+    /// Validates the limits: `max_len` must be
     /// `1..=`[`MAX_TRACE_LEN`] and `max_branches`
     /// `1..=`[`MAX_TRACE_BRANCHES`] (the identifier's 6-bit outcome field).
-    pub fn try_validate(&self) -> Result<(), TraceConfigError> {
+    pub fn validate(&self) -> Result<(), TraceConfigError> {
         if !(1..=MAX_TRACE_LEN).contains(&self.max_len) {
             return Err(TraceConfigError::MaxLenOutOfRange {
                 max_len: self.max_len,
@@ -192,17 +192,10 @@ impl TraceBuilder {
     /// Panics if `max_len` is 0 or exceeds [`MAX_TRACE_LEN`], or if
     /// `max_branches` exceeds [`MAX_TRACE_BRANCHES`].
     pub fn new(cfg: TraceConfig) -> TraceBuilder {
-        match TraceBuilder::try_new(cfg) {
-            Ok(b) => b,
-            Err(e) => panic!("invalid trace config: {e}"),
+        if let Err(e) = cfg.validate() {
+            panic!("invalid trace config: {e}");
         }
-    }
-
-    /// Creates a builder, rejecting invalid limits with a typed
-    /// [`TraceConfigError`] instead of panicking.
-    pub fn try_new(cfg: TraceConfig) -> Result<TraceBuilder, TraceConfigError> {
-        cfg.try_validate()?;
-        Ok(TraceBuilder { cfg, cur: None })
+        TraceBuilder { cfg, cur: None }
     }
 
     /// The limits in force.

@@ -133,7 +133,8 @@ impl SessionSnapshot {
     /// Builds a fresh predictor from the embedded configuration and
     /// restores the saved state into it.
     pub fn instantiate(&self) -> Result<NextTracePredictor, SnapshotError> {
-        let mut p = NextTracePredictor::try_new(self.config).map_err(SnapshotError::Config)?;
+        self.config.validate().map_err(SnapshotError::Config)?;
+        let mut p = NextTracePredictor::new(self.config);
         p.restore_state(&self.state).map_err(SnapshotError::State)?;
         Ok(p)
     }
@@ -437,7 +438,7 @@ fn decode_config(c: &mut Reader<&[u8]>) -> Result<PredictorConfig, SnapshotError
         alternate,
         stored_target,
     };
-    cfg.try_validate().map_err(SnapshotError::Config)?;
+    cfg.validate().map_err(SnapshotError::Config)?;
     Ok(cfg)
 }
 
@@ -826,31 +827,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn session_wire_round_trips_and_rejects_corruption() {
-        let (p, stats) = trained(PredictorConfig::paper(12, 3), 0xF2);
+    /// Encodes a session trained under `cfg` and checks it round-trips.
+    fn wire_image(cfg: PredictorConfig) -> Vec<u8> {
+        let (p, stats) = trained(cfg, 0xF2);
         let snap = SessionSnapshot::capture(9, &p, &stats);
         let bytes = encode_session_wire(&snap);
         let back = decode_session_wire(&bytes).expect("clean payload decodes");
         assert_eq!(back, snap);
         assert_eq!(bytes, encode_session_wire(&snap), "deterministic");
+        bytes
+    }
 
-        // Every single-bit flip anywhere in the image is refused: magic,
-        // version and length flips fail their own checks, payload flips
-        // fail the checksum (or a downstream validation), checksum flips
-        // fail against the intact payload.
-        for byte in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[byte] ^= 1;
+    /// Every single-bit flip at each of `offsets` is refused (magic,
+    /// version and length flips fail their own checks, payload flips fail
+    /// the checksum or a downstream validation, checksum flips fail against
+    /// the intact payload), and so is a cut there.
+    fn assert_corruption_refused(bytes: &[u8], offsets: impl IntoIterator<Item = usize>) {
+        let mut corrupt = bytes.to_vec();
+        for byte in offsets {
+            for bit in 0..8 {
+                corrupt[byte] ^= 1 << bit;
+                let refused = decode_session_wire(&corrupt).is_err();
+                assert!(refused, "flip of bit {bit} at byte {byte}");
+                corrupt[byte] ^= 1 << bit;
+            }
             assert!(
-                decode_session_wire(&corrupt).is_err(),
-                "flip at byte {byte} must be refused"
+                decode_session_wire(&bytes[..byte]).is_err(),
+                "cut at {byte}"
             );
         }
-        // Truncation at any point is refused.
-        for cut in 0..bytes.len() {
-            assert!(decode_session_wire(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
+    }
+
+    #[test]
+    fn tiny_session_wire_refuses_every_flip_and_truncation() {
+        // A tiny table keeps the image small enough to sweep exhaustively;
+        // the codec paths are the ones a paper-sized image takes.
+        let bytes = wire_image(PredictorConfig {
+            index_bits: 6,
+            secondary_index_bits: 6,
+            alternate: true,
+            ..PredictorConfig::paper(12, 2)
+        });
+        assert_corruption_refused(&bytes, 0..bytes.len());
+    }
+
+    #[test]
+    fn session_wire_round_trips_and_rejects_corruption() {
+        let bytes = wire_image(PredictorConfig::paper(12, 3));
+        // The 12-byte header and 8-byte checksum trailer in full, plus a
+        // seeded sample of payload offsets.
+        let n = bytes.len();
+        let mut rng = ntp_verify::XorShift64::new(0x5E55_1011);
+        let sample = (0..256).map(|_| rng.range(12, n as u64 - 9) as usize);
+        assert_corruption_refused(&bytes, (0..12).chain(n - 8..n).chain(sample));
         // Trailing bytes are refused.
         let mut long = bytes.clone();
         long.push(0);

@@ -66,7 +66,7 @@ fn gen_config(rng: &mut XorShift64) -> PredictorConfig {
     if rng.chance(1, 4) {
         cfg.primary_counter = CounterSpec::TWO_BIT;
     }
-    cfg.try_validate().expect("generated config is valid");
+    cfg.validate().expect("generated config is valid");
     cfg
 }
 
@@ -92,7 +92,7 @@ fn tiny_config(rng: &mut XorShift64) -> PredictorConfig {
     if rng.chance(1, 3) {
         cfg.alternate = true;
     }
-    cfg.try_validate().expect("tiny config is valid");
+    cfg.validate().expect("tiny config is valid");
     cfg
 }
 
@@ -101,7 +101,7 @@ fn gen_tiny_artifact(rng: &mut XorShift64, n: usize) -> SnapshotArtifact {
     let mut sessions = Vec::with_capacity(n);
     for k in 0..n {
         let cfg = tiny_config(rng);
-        let mut p = NextTracePredictor::try_new(cfg).expect("valid config");
+        let mut p = NextTracePredictor::new(cfg);
         let len = rng.range(100, 300) as usize;
         let stats = evaluate(&mut p, &gen_stream(rng, len));
         sessions.push(SessionSnapshot::capture(k as u64, &p, &stats));
@@ -115,7 +115,7 @@ fn gen_artifact(rng: &mut XorShift64, n: usize) -> (SnapshotArtifact, Vec<NextTr
     let mut predictors = Vec::with_capacity(n);
     for k in 0..n {
         let cfg = gen_config(rng);
-        let mut p = NextTracePredictor::try_new(cfg).expect("valid config");
+        let mut p = NextTracePredictor::new(cfg);
         let len = rng.range(100, 600) as usize;
         let stats = evaluate(&mut p, &gen_stream(rng, len));
         sessions.push(SessionSnapshot::capture(k as u64 * 3 + 1, &p, &stats));

@@ -2,7 +2,7 @@
 //! validation layer **must** reject, and known-good ones it must accept.
 //!
 //! Every case is a `(config, expectation)` pair judged purely through the
-//! public `try_validate` entry points — the sweep never *runs* an invalid
+//! public `validate` entry points — the sweep never *runs* an invalid
 //! config, so a validation regression shows up as a named divergence rather
 //! than a hang or a panic. In particular, reverting the
 //! `engine.window >= MAX_TRACE_LEN` check (the infinite-stall fix in
@@ -37,7 +37,7 @@ fn inject(class: &'static str, rng: &mut XorShift64) -> (bool, String) {
                 window: rng.below(16) as u32, // < MAX_TRACE_LEN: would stall forever
                 mispredict_penalty: rng.below(16) as u32,
             };
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         "engine-zero-issue-width" => {
             let cfg = EngineConfig {
@@ -45,7 +45,7 @@ fn inject(class: &'static str, rng: &mut XorShift64) -> (bool, String) {
                 window: rng.range(16, 256) as u32,
                 mispredict_penalty: rng.below(16) as u32,
             };
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         "dolc-phantom-history-bits" => {
             // depth 0 with nonzero older/last, or depth 1 with nonzero
@@ -65,7 +65,7 @@ fn inject(class: &'static str, rng: &mut XorShift64) -> (bool, String) {
                     current: rng.range(1, 16) as u32,
                 }
             };
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         "dolc-field-too-wide" => {
             let mut cfg = Dolc {
@@ -79,14 +79,14 @@ fn inject(class: &'static str, rng: &mut XorShift64) -> (bool, String) {
                 1 => cfg.last = rng.range(17, 64) as u32,
                 _ => cfg.current = rng.range(17, 64) as u32,
             }
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         "predictor-tag-past-16-bits" => {
             let cfg = PredictorConfig {
                 tag_bits: rng.range(17, 64) as u32,
                 ..PredictorConfig::paper(12, 3)
             };
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         "predictor-index-out-of-range" => {
             let cfg = PredictorConfig {
@@ -97,7 +97,7 @@ fn inject(class: &'static str, rng: &mut XorShift64) -> (bool, String) {
                 },
                 ..PredictorConfig::paper(12, 3)
             };
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         "counter-zero-step" => {
             let cfg = CounterSpec {
@@ -105,7 +105,7 @@ fn inject(class: &'static str, rng: &mut XorShift64) -> (bool, String) {
                 inc: if rng.chance(1, 2) { 0 } else { 1 },
                 dec: 0,
             };
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         "trace-max-len-out-of-range" => {
             let cfg = TraceConfig {
@@ -116,7 +116,7 @@ fn inject(class: &'static str, rng: &mut XorShift64) -> (bool, String) {
                 },
                 ..TraceConfig::default()
             };
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         "predictor-secondary-index-out-of-range" => {
             let cfg = PredictorConfig {
@@ -127,7 +127,7 @@ fn inject(class: &'static str, rng: &mut XorShift64) -> (bool, String) {
                 },
                 ..PredictorConfig::paper(12, 3)
             };
-            (cfg.try_validate().is_err(), format!("{cfg:?}"))
+            (cfg.validate().is_err(), format!("{cfg:?}"))
         }
         other => unreachable!("unknown fault class {other}"),
     }
@@ -159,7 +159,7 @@ pub fn fault_sweep(seed: u64, cases: usize) -> OracleOutcome {
                 index: None,
                 config,
                 detail: format!(
-                    "hostile config of class `{class}` was ACCEPTED by try_validate; \
+                    "hostile config of class `{class}` was ACCEPTED by validate; \
                      the validation layer has regressed"
                 ),
             });
@@ -178,20 +178,16 @@ pub fn fault_sweep(seed: u64, cases: usize) -> OracleOutcome {
         (
             "default engine",
             EngineConfig::default()
-                .try_validate()
+                .validate()
                 .map_err(|e| e.to_string()),
         ),
         (
             "default trace config",
-            TraceConfig::default()
-                .try_validate()
-                .map_err(|e| e.to_string()),
+            TraceConfig::default().validate().map_err(|e| e.to_string()),
         ),
         (
             "primary counter",
-            CounterSpec::PRIMARY
-                .try_validate()
-                .map_err(|e| e.to_string()),
+            CounterSpec::PRIMARY.validate().map_err(|e| e.to_string()),
         ),
     ];
     for (name, result) in controls {

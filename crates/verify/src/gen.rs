@@ -212,8 +212,8 @@ mod tests {
         let rng = XorShift64::new(0xA11A);
         for k in 0..64 {
             let p = alias_free_point(&mut rng.fork(k));
-            p.cfg.try_validate().expect("bounded config valid");
-            p.ucfg.try_validate().expect("unbounded config valid");
+            p.cfg.validate().expect("bounded config valid");
+            p.ucfg.validate().expect("unbounded config valid");
             assert!(
                 p.cfg.dolc.total_bits() <= p.cfg.index_bits,
                 "no folding: {:?}",

@@ -7,14 +7,16 @@
 //! * [`bounded_vs_unbounded`] — the finite tagged predictor must agree with
 //!   the unbounded no-aliasing model *on every prediction* when the stream
 //!   and configuration are constructed so that aliasing is impossible;
-//! * [`evaluate_equivalence`] — the three replay drivers (`evaluate`,
-//!   `evaluate_with_sink`, the delayed-update engine at a latency-free
-//!   operating point) must report identical statistics;
+//! * [`evaluate_equivalence`] — the replay kernel under each of its
+//!   observers (none, sink, confidence) and the delayed-update engine at a
+//!   latency-free operating point must report the statistics of
+//!   [`reference_replay`], the plain scalar loop every kernel comparison is
+//!   judged against;
 //! * [`runner_determinism`] — the worker pool's ordered merge must equal
 //!   the serial result vector at any thread count;
-//! * [`batch_vs_scalar`] — the gathered batch sweeps (`evaluate_batch`,
-//!   `predict_batch`/`update_batch`) must be bit-identical to the scalar
-//!   replay on every prediction, statistic and final table state;
+//! * [`batch_vs_scalar`] — the kernel's gathered multi-lane replay must be
+//!   bit-identical to [`reference_replay`] of each lane on every
+//!   prediction, statistic and final table state;
 //! * [`snapshot_restore_lockstep`] — a predictor torn down and rebuilt
 //!   through `save_state`/`restore_state` at random cut points must stay
 //!   in prediction-by-prediction lockstep with one never snapshotted, and
@@ -22,7 +24,7 @@
 //!   warm-start contract);
 //! * [`fault_sweep`] — hostile configurations (stall-inducing engine
 //!   windows, phantom DOLC history bits, out-of-range table geometry,
-//!   stuck counters) must be *rejected* by the `try_validate` layer, and
+//!   stuck counters) must be *rejected* by the `validate` layer, and
 //!   known-good configurations must stay accepted;
 //! * [`cluster_lockstep`] — a real router fronting two real loopback
 //!   servers must stay in per-prediction lockstep with the offline
@@ -58,8 +60,8 @@ pub use gen::{
     PAPER_INDEX_BITS,
 };
 pub use oracle::{
-    batch_vs_scalar, bounded_vs_unbounded, evaluate_equivalence, runner_determinism,
-    snapshot_restore_lockstep, Divergence, OracleOutcome,
+    batch_vs_scalar, bounded_vs_unbounded, evaluate_equivalence, reference_replay,
+    runner_determinism, snapshot_restore_lockstep, Divergence, OracleOutcome,
 };
 pub use rng::XorShift64;
 

@@ -6,13 +6,15 @@
 //! 1. [`bounded_vs_unbounded`] — the finite tagged predictor against the
 //!    unbounded no-aliasing model on alias-free streams, compared
 //!    *prediction by prediction*;
-//! 2. [`evaluate_equivalence`] — `evaluate`, `evaluate_with_sink` and the
-//!    delayed-update engine (at a latency-free operating point) must produce
-//!    identical [`PredictorStats`];
+//! 2. [`evaluate_equivalence`] — the replay kernel with each of its
+//!    observers (none, sink, confidence) and the delayed-update engine (at a
+//!    latency-free operating point) must produce the same
+//!    [`PredictorStats`] as [`reference_replay`];
 //! 3. [`runner_determinism`] — the worker pool's ordered merge must be
 //!    byte-identical to the serial path at any thread count;
-//! 4. [`batch_vs_scalar`] — the gathered batch sweeps must be bit-identical
-//!    to the scalar replay, per prediction and per final table state;
+//! 4. [`batch_vs_scalar`] — the kernel's gathered multi-lane replay must be
+//!    bit-identical to [`reference_replay`] of each lane, per prediction and
+//!    per final table state;
 //! 5. [`snapshot_restore_lockstep`] — a predictor torn down and rebuilt
 //!    through `save_state`/`restore_state` at random cut points must stay
 //!    in lockstep with one that was never snapshotted.
@@ -25,14 +27,32 @@
 use crate::gen::{alias_free_point, paper_point, random_stream};
 use crate::rng::XorShift64;
 use ntp_core::{
-    evaluate, evaluate_batch, evaluate_serial, evaluate_with_sink, predict_batch, update_batch,
-    BatchLane, NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor,
-    UnboundedPredictor,
+    evaluate, replay, replay_one, ConfidenceConfig, ConfidenceObserver, Lane, NextTracePredictor,
+    Prediction, PredictorConfig, PredictorStats, SinkObserver, TracePredictor, UnboundedPredictor,
 };
 use ntp_engine::{DelayedUpdateEngine, EngineConfig};
 use ntp_runner::map_ordered_with;
 use ntp_telemetry::NullSink;
+use ntp_trace::TraceRecord;
 use std::fmt;
+
+/// The reference replay every kernel comparison is judged against: the
+/// §4.1 loop written out plainly, one record at a time, returning the
+/// accuracy and every prediction made.
+pub fn reference_replay<P: TracePredictor + ?Sized>(
+    predictor: &mut P,
+    records: &[TraceRecord],
+) -> (PredictorStats, Vec<Prediction>) {
+    let mut stats = PredictorStats::new();
+    let mut predictions = Vec::with_capacity(records.len());
+    for r in records {
+        let pred = predictor.predict();
+        stats.score(&pred, r);
+        predictions.push(pred);
+        predictor.update(r);
+    }
+    (stats, predictions)
+}
 
 /// One observed disagreement between implementations that must agree.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,10 +139,8 @@ pub fn bounded_vs_unbounded(seed: u64, cases: usize) -> OracleOutcome {
         let point = alias_free_point(&mut rng);
         let stream_len = rng.range(400, 1200) as usize;
         let stream = point.stream(&mut rng, stream_len);
-        let mut bounded =
-            NextTracePredictor::try_new(point.cfg).expect("generated bounded config is valid");
-        let mut unbounded =
-            UnboundedPredictor::try_new(point.ucfg).expect("generated unbounded config is valid");
+        let mut bounded = NextTracePredictor::new(point.cfg);
+        let mut unbounded = UnboundedPredictor::new(point.ucfg);
 
         for (i, r) in stream.iter().enumerate() {
             let pb = bounded.predict();
@@ -181,10 +199,15 @@ fn first_divergent_prefix(n: usize, agrees_on: impl Fn(usize) -> bool) -> usize 
     hi
 }
 
-/// Oracle 2: `evaluate`, `evaluate_with_sink` (null sink) and the
-/// delayed-update engine at a latency-free operating point (issue width and
-/// window at least one full trace, so every trace trains before the next
-/// prediction) must produce identical statistics.
+/// One way of replaying a stream from a fresh predictor.
+type Replay<'a> = &'a dyn Fn(&[TraceRecord]) -> PredictorStats;
+
+/// Oracle 2: the replay kernel with each of its observers — none
+/// ([`evaluate`]), a null-sink [`SinkObserver`], a [`ConfidenceObserver`] —
+/// and the delayed-update engine at a latency-free operating point (issue
+/// width and window at least one full trace, so every trace trains before
+/// the next prediction) must produce the statistics of
+/// [`reference_replay`].
 pub fn evaluate_equivalence(seed: u64, cases: usize) -> OracleOutcome {
     const NAME: &str = "evaluate-equivalence";
     let master = XorShift64::new(seed ^ 0x0E7A_15E5);
@@ -204,33 +227,29 @@ pub fn evaluate_equivalence(seed: u64, cases: usize) -> OracleOutcome {
         let stream_len = rng.range(500, 1500) as usize;
         let stream = random_stream(&mut rng, stream_len);
 
-        let run_eval = |records: &[ntp_trace::TraceRecord]| -> PredictorStats {
-            evaluate(&mut NextTracePredictor::new(cfg), records)
-        };
-        let run_sink = |records: &[ntp_trace::TraceRecord]| -> PredictorStats {
-            evaluate_with_sink(&mut NextTracePredictor::new(cfg), records, &mut NullSink).0
-        };
-        let run_engine = |records: &[ntp_trace::TraceRecord]| -> PredictorStats {
-            DelayedUpdateEngine::new(NextTracePredictor::new(cfg), ecfg)
-                .run(records)
-                .prediction
-        };
+        let fresh = || NextTracePredictor::new(cfg);
+        let run_ref = |r: &[TraceRecord]| reference_replay(&mut fresh(), r).0;
+        let runners: [(&str, Replay<'_>); 4] = [
+            ("evaluate", &|r: &[TraceRecord]| evaluate(&mut fresh(), r)),
+            ("sink observer", &|r: &[TraceRecord]| {
+                replay_one(&mut fresh(), r, SinkObserver::new(&mut NullSink)).0
+            }),
+            ("confidence observer", &|r: &[TraceRecord]| {
+                let obs = ConfidenceObserver::new(ConfidenceConfig::paper_like());
+                replay_one(&mut fresh(), r, obs).0
+            }),
+            ("delayed-update engine", &|r: &[TraceRecord]| {
+                DelayedUpdateEngine::new(fresh(), ecfg).run(r).prediction
+            }),
+        ];
 
-        let base = run_eval(&stream);
-        comparisons += 2;
-        for (other_name, other) in [
-            ("evaluate_with_sink", run_sink(&stream)),
-            ("delayed-update engine", run_engine(&stream)),
-        ] {
+        let base = run_ref(&stream);
+        for (name, runner) in runners {
+            comparisons += 1;
+            let other = runner(&stream);
             if other != base {
-                let runner: &dyn Fn(&[ntp_trace::TraceRecord]) -> PredictorStats =
-                    if other_name == "evaluate_with_sink" {
-                        &run_sink
-                    } else {
-                        &run_engine
-                    };
                 let first = first_divergent_prefix(stream.len(), |k| {
-                    runner(&stream[..k]) == run_eval(&stream[..k])
+                    runner(&stream[..k]) == run_ref(&stream[..k])
                 });
                 divergences.push(Divergence {
                     oracle: NAME,
@@ -239,7 +258,7 @@ pub fn evaluate_equivalence(seed: u64, cases: usize) -> OracleOutcome {
                     index: Some(first.saturating_sub(1) as u64),
                     config: format!("{cfg:?} engine {ecfg:?}"),
                     detail: format!(
-                        "evaluate said {base:?}; {other_name} said {other:?} \
+                        "reference said {base:?}; {name} said {other:?} \
                          (first divergent prefix: {first} traces)"
                     ),
                 });
@@ -310,12 +329,12 @@ pub fn runner_determinism(seed: u64, cases: usize) -> OracleOutcome {
     }
 }
 
-/// Oracle 4: the batched sweeps (`evaluate_batch`, and the lockstep
-/// `predict_batch`/`update_batch` pair) must be bit-identical to the
-/// scalar replay — every [`PredictorStats`] field, every per-step
-/// [`ntp_core::Prediction`], and the predictors' final aliasing counters,
-/// occupancy and cached table indexes. The sweep only overlaps table
-/// gathers via prefetch hints; any observable difference is a bug.
+/// Oracle 4: the kernel's gathered multi-lane replay must be
+/// bit-identical to [`reference_replay`] of each lane alone — every
+/// [`PredictorStats`] field, every per-step [`Prediction`] (recorded by a
+/// `Vec<Prediction>` observer), and the predictors' final aliasing
+/// counters, occupancy and cached table indexes. Gathering only overlaps
+/// table reads via prefetch hints; any observable difference is a bug.
 pub fn batch_vs_scalar(seed: u64, cases: usize) -> OracleOutcome {
     const NAME: &str = "batch-vs-scalar";
     let master = XorShift64::new(seed ^ 0xBA7C_4ED0);
@@ -336,9 +355,6 @@ pub fn batch_vs_scalar(seed: u64, cases: usize) -> OracleOutcome {
             let len = rng.range(200, 800) as usize;
             streams.push(random_stream(&mut rng, len));
         }
-        let fresh = |cfgs: &[PredictorConfig]| -> Vec<NextTracePredictor> {
-            cfgs.iter().map(|c| NextTracePredictor::new(*c)).collect()
-        };
         let mut diverge = |index: Option<u64>, detail: String| {
             divergences.push(Divergence {
                 oracle: NAME,
@@ -350,76 +366,59 @@ pub fn batch_vs_scalar(seed: u64, cases: usize) -> OracleOutcome {
             });
         };
 
-        // Whole-replay comparison over ragged lanes.
-        let mut batch_preds = fresh(&cfgs);
-        let mut lanes: Vec<BatchLane<'_>> = batch_preds
+        let mut predictors: Vec<NextTracePredictor> =
+            cfgs.iter().map(|c| NextTracePredictor::new(*c)).collect();
+        let mut lanes: Vec<Lane<'_, NextTracePredictor, Vec<Prediction>>> = predictors
             .iter_mut()
-            .zip(streams.iter())
-            .map(|(p, s)| BatchLane::new(p, s))
+            .zip(&streams)
+            .map(|(p, s)| Lane::new(p, s, Vec::new()))
             .collect();
-        let batch_stats = evaluate_batch(&mut lanes);
-        let mut serial_preds = fresh(&cfgs);
-        let mut lanes: Vec<BatchLane<'_>> = serial_preds
-            .iter_mut()
-            .zip(streams.iter())
-            .map(|(p, s)| BatchLane::new(p, s))
-            .collect();
-        let serial_stats = evaluate_serial(&mut lanes);
-        comparisons += lanes_n as u64;
-        for (k, (b, s)) in batch_stats.iter().zip(serial_stats.iter()).enumerate() {
-            if b != s {
-                diverge(None, format!("lane {k} stats: batch {b:?} vs scalar {s:?}"));
+        replay(&mut lanes);
+
+        for (k, (lane, cfg)) in lanes.iter().zip(&cfgs).enumerate() {
+            let mut want = NextTracePredictor::new(*cfg);
+            let (want_stats, want_preds) = reference_replay(&mut want, lane.records);
+            comparisons += want_preds.len() as u64 + 2;
+            let got_preds = &lane.observer;
+            if let Some(i) = (0..want_preds.len().max(got_preds.len()))
+                .find(|&i| want_preds.get(i) != got_preds.get(i))
+            {
+                diverge(
+                    Some(i as u64),
+                    format!(
+                        "lane {k}: kernel predicted {:?} vs reference {:?}",
+                        got_preds.get(i),
+                        want_preds.get(i)
+                    ),
+                );
             }
-        }
-        comparisons += lanes_n as u64;
-        for (k, (b, s)) in batch_preds.iter().zip(serial_preds.iter()).enumerate() {
-            if b.aliasing() != s.aliasing()
-                || b.occupancy() != s.occupancy()
-                || b.indices() != s.indices()
+            if lane.stats != want_stats {
+                diverge(
+                    None,
+                    format!(
+                        "lane {k} stats: kernel {:?} vs reference {want_stats:?}",
+                        lane.stats
+                    ),
+                );
+            }
+            let got = &*lane.predictor;
+            if got.aliasing() != want.aliasing()
+                || got.occupancy() != want.occupancy()
+                || got.indices() != want.indices()
             {
                 diverge(
                     None,
                     format!(
-                        "lane {k} final state: batch aliasing {:?} occupancy {:?} indices {:?} \
-                         vs scalar {:?} / {:?} / {:?}",
-                        b.aliasing(),
-                        s.aliasing(),
-                        b.occupancy(),
-                        s.occupancy(),
-                        b.indices(),
-                        s.indices()
+                        "lane {k} final state: kernel aliasing {:?} occupancy {:?} indices {:?} \
+                         vs reference {:?} / {:?} / {:?}",
+                        got.aliasing(),
+                        got.occupancy(),
+                        got.indices(),
+                        want.aliasing(),
+                        want.occupancy(),
+                        want.indices()
                     ),
                 );
-            }
-        }
-
-        // Lockstep comparison: every per-step Prediction, over the common
-        // prefix of all lanes, through predict_batch/update_batch.
-        let steps = streams.iter().map(Vec::len).min().unwrap_or(0);
-        let mut batch_preds = fresh(&cfgs);
-        let mut scalar_preds = fresh(&cfgs);
-        'case: for step in 0..steps {
-            let views: Vec<&NextTracePredictor> = batch_preds.iter().collect();
-            let preds = predict_batch(&views);
-            comparisons += lanes_n as u64;
-            for (k, sp) in scalar_preds.iter().enumerate() {
-                let want = sp.predict();
-                if preds[k] != want {
-                    diverge(
-                        Some(step as u64),
-                        format!("lane {k}: predict_batch {:?} vs scalar {want:?}", preds[k]),
-                    );
-                    break 'case;
-                }
-            }
-            let mut pairs: Vec<(&mut NextTracePredictor, &ntp_trace::TraceRecord)> = batch_preds
-                .iter_mut()
-                .zip(streams.iter())
-                .map(|(p, s)| (p, &s[step]))
-                .collect();
-            update_batch(&mut pairs);
-            for (p, s) in scalar_preds.iter_mut().zip(streams.iter()) {
-                p.update(&s[step]);
             }
         }
     }
@@ -463,8 +462,7 @@ pub fn snapshot_restore_lockstep(seed: u64, cases: usize) -> OracleOutcome {
         for (i, r) in stream.iter().enumerate() {
             if cut_points.contains(&i) {
                 let state = cycled.save_state();
-                let mut rebuilt =
-                    NextTracePredictor::try_new(cfg).expect("config already validated");
+                let mut rebuilt = NextTracePredictor::new(cfg);
                 rebuilt
                     .restore_state(&state)
                     .expect("a saved state always fits the config it came from");

@@ -56,8 +56,8 @@ fn bounded_tracks_unbounded_over_a_long_stream() {
     let mut rng = XorShift64::new(0x0050_A4E5 ^ 0x1234_5678);
     let point = alias_free_point(&mut rng);
     let stream = point.stream(&mut rng, 20_000);
-    let mut bounded = NextTracePredictor::try_new(point.cfg).unwrap();
-    let mut unbounded = UnboundedPredictor::try_new(point.ucfg).unwrap();
+    let mut bounded = NextTracePredictor::new(point.cfg);
+    let mut unbounded = UnboundedPredictor::new(point.ucfg);
     for (i, r) in stream.iter().enumerate() {
         let (pb, pu) = (bounded.predict(), unbounded.predict());
         assert_eq!(pb, pu, "lockstep broke at {i}: {pb:?} vs {pu:?}");
@@ -78,7 +78,7 @@ fn dirty_reports_render_every_divergence_with_context() {
         index: None,
         config: "EngineConfig { issue_width: 4, window: 8, mispredict_penalty: 8 }".into(),
         detail: "hostile config of class `engine-window-too-small` was ACCEPTED by \
-                 try_validate; the validation layer has regressed"
+                 validate; the validation layer has regressed"
             .into(),
     };
     let report = VerifyReport {

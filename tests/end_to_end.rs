@@ -209,14 +209,15 @@ fn unbounded_alternate_rescues_like_bounded() {
 
 #[test]
 fn confidence_estimation_on_real_workload() {
-    use ntp::core::{evaluate_with_confidence, ConfidenceConfig, ConfidenceEstimator};
+    use ntp::core::{replay_one, ConfidenceConfig, ConfidenceObserver};
     let (records, _) = capture("m88ksim");
     let mut p = NextTracePredictor::new(PredictorConfig::paper(15, 7));
-    let mut est = ConfidenceEstimator::new(ConfidenceConfig {
+    let obs = ConfidenceObserver::new(ConfidenceConfig {
         threshold: 8,
         ..ConfidenceConfig::paper_like()
     });
-    let stats = evaluate_with_confidence(&mut p, &mut est, &records);
+    let (prediction, obs) = replay_one(&mut p, &records, obs);
+    let stats = obs.finish(prediction);
     assert!(
         stats.high_mispredict_pct() < stats.low_mispredict_pct(),
         "high {} vs low {}",

@@ -1,18 +1,24 @@
 //! Seeded property tests over the core data structures and invariants
 //! of the stack: the ISA codec and assembler, the simulator's fault
 //! model, trace selection, and the predictor's history, index, counter
-//! and return-stack structures.
+//! and return-stack structures, and the replay kernel against the
+//! reference loop.
 //!
 //! Every property draws its inputs from [`XorShift64`] with a fixed
 //! seed, so a run is reproducible from this file alone. Each case gets
 //! its own fork of the seed; a failing case prints its index, and
 //! `XorShift64::new(seed).fork(case)` rebuilds exactly its inputs.
 
-use ntp::core::{Counter, CounterSpec, Dolc, PathHistory, ReturnHistoryStack, RhsConfig};
+use ntp::core::{
+    evaluate_batch_fresh, replay, ConfidenceConfig, ConfidenceObserver, Counter, CounterSpec, Dolc,
+    Lane, NextTracePredictor, Observer, PathHistory, PredictorConfig, PredictorStats,
+    ReturnHistoryStack, RhsConfig, SinkObserver, StoredTarget,
+};
 use ntp::isa::{decode, encode, ControlKind, Instr, Program, Reg};
 use ntp::sim::{ControlEvent, Machine, MemoryConfig, SimError, Step};
-use ntp::trace::{HashedId, TraceBuilder, TraceConfig, TraceId};
-use ntp::verify::XorShift64;
+use ntp::telemetry::TraceLog;
+use ntp::trace::{HashedId, TraceBuilder, TraceConfig, TraceId, TraceRecord};
+use ntp::verify::{random_stream, reference_replay, XorShift64};
 
 /// Names the failing case when a property panics mid-case.
 struct CaseGuard {
@@ -382,6 +388,106 @@ fn rhs_depth_bounded() {
             rhs.on_trace(&mut h, calls, any_bool(rng));
             assert!(rhs.depth() <= max_depth);
             assert!(h.len() <= h.capacity());
+        }
+    });
+}
+
+fn arb_predictor_config(rng: &mut XorShift64) -> PredictorConfig {
+    let cfg = PredictorConfig {
+        index_bits: rng.range(8, 12) as u32,
+        secondary_index_bits: rng.range(6, 14) as u32,
+        alternate: any_bool(rng),
+        stored_target: [StoredTarget::Full, StoredTarget::Hashed][rng.below(2) as usize],
+        rhs: any_bool(rng).then(|| RhsConfig {
+            max_depth: len(rng, 1, 16),
+        }),
+        ..PredictorConfig::paper(12, len(rng, 0, 7))
+    };
+    cfg.validate().expect("generated config is valid");
+    cfg
+}
+
+/// Replays `streams` through the kernel as gathered lanes of fresh
+/// predictors, one observer per lane.
+fn kernel<O: Observer<NextTracePredictor>>(
+    cfgs: &[PredictorConfig],
+    streams: &[Vec<TraceRecord>],
+    observers: impl IntoIterator<Item = O>,
+) -> (Vec<NextTracePredictor>, Vec<(PredictorStats, O)>) {
+    let mut predictors: Vec<_> = cfgs.iter().map(|c| NextTracePredictor::new(*c)).collect();
+    let mut lanes: Vec<_> = predictors
+        .iter_mut()
+        .zip(streams)
+        .zip(observers)
+        .map(|((p, s), o)| Lane::new(p, s, o))
+        .collect();
+    replay(&mut lanes);
+    let out = lanes.into_iter().map(|l| (l.stats, l.observer)).collect();
+    (predictors, out)
+}
+
+#[test]
+fn replay_kernel_matches_reference_on_ragged_mixed_lanes() {
+    for_cases(0x5001, 48, |rng| {
+        let n = len(rng, 1, 6);
+        let cfgs: Vec<_> = (0..n).map(|_| arb_predictor_config(rng)).collect();
+        let streams: Vec<_> = (0..n)
+            .map(|_| {
+                let l = len(rng, 0, 400);
+                random_stream(rng, l)
+            })
+            .collect();
+        let reference: Vec<_> = cfgs
+            .iter()
+            .zip(&streams)
+            .map(|(c, s)| {
+                let mut p = NextTracePredictor::new(*c);
+                let (stats, preds) = reference_replay(&mut p, s);
+                (p, stats, preds)
+            })
+            .collect();
+        let want: Vec<_> = reference.iter().map(|r| r.1.clone()).collect();
+
+        // Recording observer: every step, the stats and the final tables.
+        let (predictors, recorded) = kernel(&cfgs, &streams, (0..n).map(|_| Vec::new()));
+        for (k, ((p, (stats, preds)), (ref_p, ref_stats, ref_preds))) in
+            predictors.iter().zip(&recorded).zip(&reference).enumerate()
+        {
+            assert_eq!(preds, ref_preds, "lane {k}: per-step predictions");
+            assert_eq!(stats, ref_stats, "lane {k}: stats");
+            assert_eq!(p.aliasing(), ref_p.aliasing(), "lane {k}: aliasing");
+            assert_eq!(p.occupancy(), ref_p.occupancy(), "lane {k}: occupancy");
+            assert_eq!(p.indices(), ref_p.indices(), "lane {k}: indices");
+        }
+
+        // The no-op observer.
+        let (_, plain) = kernel(&cfgs, &streams, (0..n).map(|_| ()));
+        let plain: Vec<_> = plain.into_iter().map(|(s, ())| s).collect();
+        assert_eq!(plain, want, "no-op observer");
+        let views: Vec<&[TraceRecord]> = streams.iter().map(Vec::as_slice).collect();
+        let fresh = evaluate_batch_fresh(&views, |k| NextTracePredictor::new(cfgs[k]));
+        assert_eq!(fresh, want, "evaluate_batch_fresh");
+
+        // The sink observer, with a live sink so events are built.
+        let mut logs: Vec<_> = (0..n).map(|_| TraceLog::new(16, 1)).collect();
+        let (_, sunk) = kernel(&cfgs, &streams, logs.iter_mut().map(SinkObserver::new));
+        for (k, (stats, obs)) in sunk.into_iter().enumerate() {
+            assert_eq!(stats, want[k], "lane {k}: sink observer");
+            assert_eq!(obs.into_streaks().sum(), stats.predictions - stats.correct);
+        }
+        for (log, s) in logs.iter().zip(&streams) {
+            assert_eq!(log.offered(), s.len() as u64, "one event per step");
+        }
+
+        // The confidence observer classes every prediction once.
+        let confidence = (0..n).map(|_| ConfidenceObserver::new(ConfidenceConfig::paper_like()));
+        let (_, conf) = kernel(&cfgs, &streams, confidence);
+        for (k, (stats, obs)) in conf.into_iter().enumerate() {
+            let c = obs.finish(stats);
+            assert_eq!(c.prediction, want[k], "lane {k}: confidence observer");
+            let classed = c.high_correct + c.high_wrong + c.low_correct + c.low_wrong;
+            assert_eq!(classed, c.prediction.predictions);
+            assert_eq!(c.high_correct + c.low_correct, c.prediction.correct);
         }
     });
 }

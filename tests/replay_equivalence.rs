@@ -3,20 +3,22 @@
 //!
 //! Two families of invariants:
 //!
-//! * the instrumented replay ([`ntp::core::evaluate_with_sink`]) must
-//!   produce exactly the same [`ntp::core::PredictorStats`] as the plain
-//!   replay ([`ntp::core::evaluate`]) — telemetry must never perturb the
+//! * the replay kernel, plain ([`ntp::core::evaluate`]) or instrumented
+//!   (a [`ntp::core::SinkObserver`]), must produce exactly the
+//!   [`ntp::core::PredictorStats`] of the scalar reference loop
+//!   ([`ntp::verify::reference_replay`]) — telemetry must never perturb the
 //!   experiment;
 //! * the parallel runner's ordered merge must equal the serial map at any
 //!   thread count — parallelism must never perturb the output.
 
 use ntp::core::{
-    evaluate, evaluate_with_sink, NextTracePredictor, PredictorConfig, TracePredictor,
-    UnboundedConfig, UnboundedPredictor,
+    evaluate, replay_one, NextTracePredictor, PredictorConfig, PredictorStats, SinkObserver,
+    TracePredictor, UnboundedConfig, UnboundedPredictor,
 };
 use ntp::runner::map_ordered_with;
-use ntp::telemetry::NullSink;
+use ntp::telemetry::{Histogram, NullSink};
 use ntp::trace::{TraceId, TraceRecord};
+use ntp::verify::reference_replay;
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants).
 struct Lcg(u64);
@@ -61,10 +63,31 @@ fn arb_stream(seed: u64, n: usize) -> Vec<TraceRecord> {
         .collect()
 }
 
+/// Asserts that plain and instrumented (null-sink [`SinkObserver`])
+/// kernel replays from `fresh()` predictors match the reference loop, and
+/// returns the instrumented one.
+fn agree<P: TracePredictor>(
+    fresh: impl Fn() -> P,
+    records: &[TraceRecord],
+    what: &str,
+) -> (PredictorStats, Histogram) {
+    let (reference, _) = reference_replay(&mut fresh(), records);
+    let plain = evaluate(&mut fresh(), records);
+    assert_eq!(plain, reference, "kernel diverged ({what})");
+    let mut sink = NullSink;
+    let (instrumented, obs) = replay_one(&mut fresh(), records, SinkObserver::new(&mut sink));
+    assert_eq!(
+        instrumented, reference,
+        "telemetry perturbed replay ({what})"
+    );
+    (instrumented, obs.into_streaks())
+}
+
 #[test]
-fn evaluate_and_evaluate_with_sink_agree_exactly() {
-    // Sweep seeds × configurations; instrumented and plain replay must
-    // produce identical statistics in every case.
+fn evaluate_and_sink_observer_agree_with_reference() {
+    // Sweep seeds × configurations; the reference loop, plain and
+    // instrumented kernel replay must produce identical statistics in
+    // every case.
     for seed in [1u64, 0xdead_beef, 42, 7_777_777] {
         let records = arb_stream(seed, 4_000);
         let configs = [
@@ -74,39 +97,31 @@ fn evaluate_and_evaluate_with_sink_agree_exactly() {
             PredictorConfig::paper_with_alternate(15, 7),
         ];
         for cfg in configs {
-            let mut a = NextTracePredictor::new(cfg);
-            let mut b = NextTracePredictor::new(cfg);
-            let plain = evaluate(&mut a, &records);
-            let (instrumented, streaks) = evaluate_with_sink(&mut b, &records, &mut NullSink);
-            assert_eq!(
-                plain, instrumented,
-                "telemetry perturbed replay (seed {seed}, cfg {cfg:?})"
-            );
+            let what = format!("seed {seed}, cfg {cfg:?}");
+            let (stats, streaks) = agree(|| NextTracePredictor::new(cfg), &records, &what);
             // The streak histogram tallies one entry per terminated
             // misprediction streak — it can never exceed the number of
             // mispredictions.
-            let mispredicts = plain.predictions - plain.correct;
+            let mispredicts = stats.predictions - stats.correct;
             assert!(streaks.count() <= mispredicts.max(1));
         }
         // The unbounded model goes through the same generic path.
-        let mut a = UnboundedPredictor::new(UnboundedConfig::paper(7));
-        let mut b = UnboundedPredictor::new(UnboundedConfig::paper(7));
-        let plain = evaluate(&mut a, &records);
-        let (instrumented, _) = evaluate_with_sink(&mut b, &records, &mut NullSink);
-        assert_eq!(plain, instrumented, "unbounded (seed {seed})");
+        let fresh = || UnboundedPredictor::new(UnboundedConfig::paper(7));
+        agree(fresh, &records, &format!("unbounded, seed {seed}"));
     }
 }
 
 #[test]
 fn instrumented_replay_leaves_predictor_in_identical_state() {
-    // Beyond equal stats: both replays must leave the *predictor* able to
-    // make the same next prediction (same tables, same history).
+    // Beyond equal stats: the instrumented kernel must leave the
+    // *predictor* able to make the reference's next prediction (same
+    // tables, same history).
     let records = arb_stream(99, 3_000);
     let cfg = PredictorConfig::paper(15, 7);
     let mut a = NextTracePredictor::new(cfg);
     let mut b = NextTracePredictor::new(cfg);
-    let _ = evaluate(&mut a, &records);
-    let _ = evaluate_with_sink(&mut b, &records, &mut NullSink);
+    let _ = reference_replay(&mut a, &records);
+    let _ = replay_one(&mut b, &records, SinkObserver::new(&mut NullSink));
     assert_eq!(a.indices(), b.indices(), "index state diverged");
     assert_eq!(
         a.predict().target,
