@@ -221,17 +221,26 @@ fn err(line: usize, msg: impl Into<String>) -> AsmError {
 // tokenizer
 // ---------------------------------------------------------------------------
 
+/// One token, borrowing identifiers from the source line: a `.word` table
+/// of tens of thousands of entries lexes without allocating.
 #[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Str(Vec<u8>),
     Punct(char),
 }
 
 fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
     let bytes = line.as_bytes();
+    // Most lines hold none of the bytes that matter here: one pass without
+    // an early exit (so it vectorises) finds that out.
+    if !bytes.iter().fold(false, |seen, &b| {
+        seen | matches!(b, b';' | b'#' | b'/' | b'"')
+    }) {
+        return line;
+    }
+    let mut in_str = false;
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -262,81 +271,115 @@ fn unescape(c: char) -> u8 {
     }
 }
 
-fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, AsmError> {
-    let mut toks = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c.is_ascii_alphabetic() || c == '_' || c == '.' {
-            let mut s = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-                    s.push(c);
-                    chars.next();
-                } else {
-                    break;
-                }
+/// Appends the tokens of one comment-free line to `toks`.
+fn tokenize<'a>(line: &'a str, lineno: usize, toks: &mut Vec<Tok<'a>>) -> Result<(), AsmError> {
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            // `char::is_whitespace` on ASCII.
+            b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' => i += 1,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'.' => {
+                let end = run_end(bytes, i + 1, IDENT_CONT);
+                toks.push(Tok::Ident(&line[i..end]));
+                i = end;
             }
-            toks.push(Tok::Ident(s));
-        } else if c.is_ascii_digit() {
-            toks.push(Tok::Int(lex_number(&mut chars, lineno)?));
-        } else if c == '\'' {
-            chars.next();
-            let mut v = chars
-                .next()
-                .ok_or_else(|| err(lineno, "unterminated char literal"))?;
-            if v == '\\' {
-                v = chars
+            b'0'..=b'9' => {
+                let end = run_end(bytes, i + 1, NUMBER_CONT);
+                toks.push(Tok::Int(lex_number(&line[i..end], lineno)?));
+                i = end;
+            }
+            b'\'' => {
+                let mut chars = line[i + 1..].chars();
+                let mut v = chars
                     .next()
                     .ok_or_else(|| err(lineno, "unterminated char literal"))?;
-                v = unescape(v) as char;
-            }
-            if chars.next() != Some('\'') {
-                return Err(err(lineno, "unterminated char literal"));
-            }
-            toks.push(Tok::Int(v as i64));
-        } else if c == '"' {
-            chars.next();
-            let mut bytes = Vec::new();
-            loop {
-                match chars.next() {
-                    Some('"') => break,
-                    Some('\\') => {
-                        let e = chars
-                            .next()
-                            .ok_or_else(|| err(lineno, "unterminated string"))?;
-                        bytes.push(unescape(e));
-                    }
-                    Some(ch) => bytes.push(ch as u8),
-                    None => return Err(err(lineno, "unterminated string")),
+                if v == '\\' {
+                    v = chars
+                        .next()
+                        .ok_or_else(|| err(lineno, "unterminated char literal"))?;
+                    v = unescape(v) as char;
                 }
+                if chars.next() != Some('\'') {
+                    return Err(err(lineno, "unterminated char literal"));
+                }
+                toks.push(Tok::Int(v as i64));
+                i = line.len() - chars.as_str().len();
             }
-            toks.push(Tok::Str(bytes));
-        } else if "(),:%+-".contains(c) {
-            chars.next();
-            toks.push(Tok::Punct(c));
-        } else {
-            return Err(err(lineno, format!("unexpected character `{c}`")));
+            b'"' => {
+                let mut chars = line[i + 1..].chars();
+                let mut bytes = Vec::new();
+                loop {
+                    match chars.next() {
+                        Some('"') => break,
+                        Some('\\') => {
+                            let e = chars
+                                .next()
+                                .ok_or_else(|| err(lineno, "unterminated string"))?;
+                            bytes.push(unescape(e));
+                        }
+                        Some(ch) => bytes.push(ch as u8),
+                        None => return Err(err(lineno, "unterminated string")),
+                    }
+                }
+                toks.push(Tok::Str(bytes));
+                i = line.len() - chars.as_str().len();
+            }
+            b @ (b'(' | b')' | b',' | b':' | b'%' | b'+' | b'-') => {
+                toks.push(Tok::Punct(b as char));
+                i += 1;
+            }
+            _ => {
+                let c = line[i..].chars().next().expect("i is a char boundary");
+                if !c.is_whitespace() {
+                    return Err(err(lineno, format!("unexpected character `{c}`")));
+                }
+                i += c.len_utf8();
+            }
         }
     }
-    Ok(toks)
+    Ok(())
 }
 
-fn lex_number(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    lineno: usize,
-) -> Result<i64, AsmError> {
-    let mut s = String::new();
-    while let Some(&c) = chars.peek() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            s.push(c);
-            chars.next();
-        } else {
-            break;
+/// [`BYTE_CLASS`] bit of bytes that continue an identifier.
+const IDENT_CONT: u8 = 1;
+/// [`BYTE_CLASS`] bit of bytes that continue a numeric literal.
+const NUMBER_CONT: u8 = 2;
+
+/// Per-byte class bits: one table load per byte instead of a chain of
+/// range compares keeps long `.word` tables cheap to lex.
+static BYTE_CLASS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        if c.is_ascii_alphanumeric() || c == b'_' {
+            table[b] = IDENT_CONT | NUMBER_CONT;
+        } else if c == b'.' {
+            table[b] = IDENT_CONT;
         }
+        b += 1;
     }
-    let s = s.replace('_', "");
+    table
+};
+
+/// The end of the run of bytes of class `class` from `at`.
+#[inline]
+fn run_end(bytes: &[u8], mut at: usize, class: u8) -> usize {
+    while at < bytes.len() && BYTE_CLASS[bytes[at] as usize] & class != 0 {
+        at += 1;
+    }
+    at
+}
+
+/// Parses one numeric literal (decimal, `0x` hex or `0b` binary, `_`
+/// separators allowed).
+fn lex_number(text: &str, lineno: usize) -> Result<i64, AsmError> {
+    let s: std::borrow::Cow<'_, str> = if text.contains('_') {
+        text.replace('_', "").into()
+    } else {
+        text.into()
+    };
     let parsed = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).map(|v| v as i64)
     } else if let Some(bin) = s.strip_prefix("0b").or_else(|| s.strip_prefix("0B")) {
@@ -359,17 +402,17 @@ enum Operand {
 }
 
 struct Cursor<'a> {
-    toks: &'a [Tok],
+    toks: &'a [Tok<'a>],
     pos: usize,
     line: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<&'a Tok> {
+    fn peek(&self) -> Option<&'a Tok<'a>> {
         self.toks.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<&'a Tok> {
+    fn next(&mut self) -> Option<&'a Tok<'a>> {
         let t = self.toks.get(self.pos);
         self.pos += 1;
         t
@@ -407,13 +450,13 @@ impl<'a> Cursor<'a> {
         }
         if self.eat_punct('%') {
             let name = match self.next() {
-                Some(Tok::Ident(s)) => s.clone(),
+                Some(Tok::Ident(s)) => *s,
                 _ => return Err(err(line, "expected hi/lo after `%`")),
             };
             self.expect_punct('(')?;
             let inner = self.parse_expr()?;
             self.expect_punct(')')?;
-            return match name.as_str() {
+            return match name {
                 "hi" => Ok(Expr::Hi(Box::new(inner))),
                 "lo" => Ok(Expr::Lo(Box::new(inner))),
                 other => Err(err(line, format!("unknown relocation `%{other}`"))),
@@ -421,7 +464,7 @@ impl<'a> Cursor<'a> {
         }
         match self.next() {
             Some(Tok::Int(v)) => Ok(Expr::Const(*v)),
-            Some(Tok::Ident(s)) => Ok(Expr::Sym(s.clone(), 0)),
+            Some(Tok::Ident(s)) => Ok(Expr::Sym(s.to_string(), 0)),
             _ => Err(err(line, "expected expression")),
         }
     }
@@ -532,10 +575,11 @@ impl Assembler {
 
     fn run(mut self, src: &str) -> Result<Program, AsmError> {
         // Pass 1: parse everything, assign addresses, collect symbols.
+        let mut toks = Vec::new();
         for (idx, raw) in src.lines().enumerate() {
             let lineno = idx + 1;
-            let line = strip_comment(raw);
-            let toks = tokenize(line, lineno)?;
+            toks.clear();
+            tokenize(strip_comment(raw), lineno, &mut toks)?;
             self.line(&toks, lineno)?;
         }
 
@@ -573,7 +617,7 @@ impl Assembler {
         }
     }
 
-    fn line(&mut self, toks: &[Tok], lineno: usize) -> Result<(), AsmError> {
+    fn line(&mut self, toks: &[Tok<'_>], lineno: usize) -> Result<(), AsmError> {
         let mut pos = 0;
         // Labels.
         while pos + 1 < toks.len() + 1 {
@@ -584,7 +628,7 @@ impl Assembler {
                     return Err(err(lineno, format!("label `{name}` shadows a register")));
                 }
                 let addr = self.here();
-                if self.symbols.insert(name.clone(), addr).is_some() {
+                if self.symbols.insert(name.to_string(), addr).is_some() {
                     return Err(err(lineno, format!("duplicate label `{name}`")));
                 }
                 pos += 2;
@@ -597,7 +641,7 @@ impl Assembler {
             return Ok(());
         }
         let head = match &rest[0] {
-            Tok::Ident(s) => s.clone(),
+            Tok::Ident(s) => *s,
             _ => return Err(err(lineno, "expected mnemonic or directive")),
         };
         let mut cur = Cursor {
@@ -606,9 +650,9 @@ impl Assembler {
             line: lineno,
         };
         if head.starts_with('.') {
-            self.directive(&head, &mut cur)
+            self.directive(head, &mut cur)
         } else {
-            self.instruction(&head, &mut cur)
+            self.instruction(head, &mut cur)
         }
     }
 
@@ -638,7 +682,15 @@ impl Assembler {
                     _ => (1, DataItem::Byte),
                 };
                 loop {
-                    let e = cur.parse_expr()?;
+                    // A bare constant, the bulk of a generated table, needs
+                    // no expression parse.
+                    let e = match (cur.peek(), cur.toks.get(cur.pos + 1)) {
+                        (Some(Tok::Int(v)), None | Some(Tok::Punct(','))) => {
+                            cur.pos += 1;
+                            Expr::Const(*v)
+                        }
+                        _ => cur.parse_expr()?,
+                    };
                     self.data.push((line, make(e)));
                     self.data_len += size;
                     if !cur.eat_punct(',') {
@@ -1175,6 +1227,52 @@ b:      .asciiz \"hi\\n\"
         assert_eq!(p.data[15], 10);
         let off = (b - p.data_base) as usize;
         assert_eq!(&p.data[off..off + 4], b"hi\n\0");
+    }
+
+    #[test]
+    fn lexer_spellings_assemble_like_their_plain_forms() {
+        // Char literals, `_` separators, hex/binary, a constant followed by
+        // `+`, non-ASCII whitespace, and comment bytes inside a string.
+        let tricky = "
+main:   li t0, 'a'
+        li t1, '\\n'
+        li t2, 0x_FF + 1
+        li t3, 1_000
+        li\u{a0}t4,\u{2003}0b1010
+        halt
+        .data
+s:      .asciiz \"a;b#c//d\"   ; a real comment
+w:      .word 0x10,\u{a0}0x20, 3 - 1 // another
+";
+        let plain = "
+main:   li t0, 97
+        li t1, 10
+        li t2, 256
+        li t3, 1000
+        li t4, 10
+        halt
+        .data
+s:      .asciiz \"a;b#c//d\"
+w:      .word 16, 32, 2
+";
+        assert_eq!(assemble(tricky).unwrap(), assemble(plain).unwrap());
+    }
+
+    #[test]
+    fn lexer_errors_name_the_bad_text() {
+        let msg = |src: &str| assemble(src).unwrap_err().msg;
+        assert_eq!(msg("main: li t0, 0xZZ\n"), "bad number `0xZZ`");
+        assert_eq!(msg("main: li t0, 1_2x\n"), "bad number `12x`");
+        assert_eq!(msg("main: li t0, 5 @\n"), "unexpected character `@`");
+        assert_eq!(
+            msg("main: li t0, 5 \u{e9}\n"),
+            "unexpected character `\u{e9}`"
+        );
+        assert_eq!(msg("main: li t0, 'ab'\n"), "unterminated char literal");
+        assert_eq!(
+            msg("        .data\ns: .ascii \"ab\n"),
+            "unterminated string"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! form — everything a next-trace predictor (including its return history
 //! stack) observes.
 
-use crate::{Trace, TraceId};
+use crate::{Trace, TraceId, MAX_TRACE_BRANCHES, MAX_TRACE_LEN};
 
 /// The compact (8-byte) form of a trace, sufficient to drive any next-trace
 /// predictor.
@@ -48,6 +48,48 @@ impl TraceRecord {
             len,
             flags: call_count | (u8::from(ends_in_return) << 3) | (u8::from(ends_in_indirect) << 4),
         }
+    }
+
+    /// The 8-byte on-disk form (the `.ntc` record layout): the start PC as
+    /// a little-endian u32, then branch bits, branch count, length and the
+    /// packed flags.
+    #[inline]
+    pub fn to_bytes(&self) -> [u8; 8] {
+        let id = self.id();
+        let pc = id.start_pc.to_le_bytes();
+        [
+            pc[0],
+            pc[1],
+            pc[2],
+            pc[3],
+            id.branch_bits,
+            id.branch_count,
+            self.len,
+            self.flags,
+        ]
+    }
+
+    /// Decodes the [`TraceRecord::to_bytes`] form, or `None` when a field
+    /// is out of range: more than [`MAX_TRACE_BRANCHES`] branches, outcome
+    /// bits beyond the branch count, a length outside
+    /// `1..=`[`MAX_TRACE_LEN`], or flag bits above bit 4. The checks are
+    /// plain bit arithmetic with no early exit, so a loop over a buffer of
+    /// records compiles without a branch per record.
+    #[inline]
+    pub fn from_bytes(bytes: [u8; 8]) -> Option<TraceRecord> {
+        let [p0, p1, p2, p3, branch_bits, branch_count, len, flags] = bytes;
+        let outcome_mask = !(u8::MAX << branch_count.min(7));
+        let valid = (usize::from(branch_count) <= MAX_TRACE_BRANCHES)
+            & (branch_bits & !outcome_mask == 0)
+            & (usize::from(len.wrapping_sub(1)) < MAX_TRACE_LEN)
+            & (flags & 0b1110_0000 == 0);
+        valid.then_some(TraceRecord {
+            start_pc: u32::from_le_bytes([p0, p1, p2, p3]),
+            branch_bits,
+            branch_count,
+            len,
+            flags,
+        })
     }
 
     /// The trace's identifier.
@@ -114,6 +156,50 @@ mod tests {
             assert_eq!(r.call_count(), t.call_count().min(7));
             assert_eq!(r.ends_in_return(), t.ends_in_return());
             assert_eq!(r.ends_in_indirect(), t.ends_in_indirect());
+        }
+    }
+
+    #[test]
+    fn byte_form_round_trips_and_refuses_out_of_range_fields() {
+        let r = TraceRecord::new(TraceId::new(0x0040_1234, 0b101, 3), 16, 7, true, true);
+        assert_eq!(
+            r.to_bytes(),
+            [0x34, 0x12, 0x40, 0x00, 0b101, 3, 16, 0b1_1111]
+        );
+        assert_eq!(TraceRecord::from_bytes(r.to_bytes()), Some(r));
+        let with = |at: usize, v: u8| {
+            let mut b = r.to_bytes();
+            b[at] = v;
+            TraceRecord::from_bytes(b)
+        };
+        for count in 0..=255u8 {
+            let bits = if count > 6 {
+                0
+            } else {
+                (1u16 << count) as u8 - 1
+            };
+            let mut b = r.to_bytes();
+            b[4] = bits;
+            b[5] = count;
+            assert_eq!(
+                TraceRecord::from_bytes(b).is_some(),
+                count <= 6,
+                "count {count}"
+            );
+            if (1..=6).contains(&count) {
+                b[4] = 1 << count;
+                assert_eq!(
+                    TraceRecord::from_bytes(b),
+                    None,
+                    "stray bit at count {count}"
+                );
+            }
+        }
+        for len in 0..=255u8 {
+            assert_eq!(with(6, len).is_some(), (1..=16).contains(&len), "len {len}");
+        }
+        for flags in 0..=255u8 {
+            assert_eq!(with(7, flags).is_some(), flags < 32, "flags {flags:#b}");
         }
     }
 

@@ -6,6 +6,7 @@
 //! observed, how many times is each instruction address stored?
 
 use crate::Trace;
+use ntp_hash::FxBuild;
 use std::collections::{HashMap, HashSet};
 
 /// Measures how much a trace cache would duplicate instructions under a
@@ -20,9 +21,11 @@ use std::collections::{HashMap, HashSet};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RedundancyStats {
-    seen_traces: HashSet<u64>,
+    /// Both sets use [`FxBuild`]: they are touched once per captured trace,
+    /// and [`RedundancyStats::to_raw`] sorts, so the hasher never shows.
+    seen_traces: HashSet<u64, FxBuild>,
     /// instruction pc → number of distinct static traces containing it.
-    copies: HashMap<u32, u32>,
+    copies: HashMap<u32, u32, FxBuild>,
     stored_instrs: u64,
 }
 

@@ -3,6 +3,7 @@
 //! branches per trace).
 
 use crate::Trace;
+use ntp_hash::FxBuild;
 use ntp_isa::ControlKind;
 use std::collections::HashSet;
 
@@ -23,7 +24,9 @@ pub struct TraceStats {
     calls: u64,
     returns: u64,
     indirect: u64,
-    static_ids: HashSet<u64>,
+    /// Hashed with [`FxBuild`]: one insert per captured trace, and
+    /// [`TraceStats::to_raw`] sorts, so the hasher never shows.
+    static_ids: HashSet<u64, FxBuild>,
 }
 
 impl TraceStats {

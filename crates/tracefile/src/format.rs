@@ -6,21 +6,29 @@
 //!          | fingerprint length u32 | fingerprint string (UTF-8)
 //! sections 8 fixed-order sections, each:
 //!          tag [u8;4] | payload length u64 | payload
-//!          | FNV-1a 64 checksum over (tag ‖ length ‖ payload)
+//!          | Fold64 checksum over (tag ‖ length ‖ payload)
 //! trailer  end of file, exactly (trailing bytes are an error)
 //! ```
 //!
-//! All integers are little-endian. The reader is *validating*: magic,
-//! version, fingerprint (hash **and** canonical string), every section
-//! checksum, every length field, and every decoded value range are
-//! checked, and any mismatch is a hard [`TraceFileError`] — a stale or
-//! corrupt cache must fall back to re-capture, never mis-load. Single-bit
-//! flips anywhere in the file are caught (see
-//! `tests/codec_props.rs`).
+//! All integers are little-endian. Two hashes guard a file, each with one
+//! job. The fingerprint hash is FNV-1a 64 ([`ntp_hash::fnv64`]) of the
+//! canonical fingerprint string; it names the cache file and checks the
+//! header. Each section's checksum is [`ntp_hash::Fold64`], a
+//! word-at-a-time checksum that keeps pace with the disk on the multi-MB
+//! `RECS` section and detects every change confined to one 8-byte word.
+//!
+//! The reader is *validating*: magic, version, fingerprint (hash **and**
+//! canonical string), every section checksum, every length field, and
+//! every decoded value range are checked, and any mismatch is a hard
+//! [`TraceFileError`] — a stale or corrupt cache must fall back to
+//! re-capture, never mis-load. Single-bit flips anywhere in the file are
+//! caught (see `tests/codec_props.rs`). Version 1 checksummed sections
+//! with FNV-1a 64; its files are refused as [`TraceFileError::BadVersion`]
+//! (and, since the fingerprint folds the version in, never even looked up).
 
 use crate::Fingerprint;
 use ntp_baselines::{MultiBranchStats, SequentialStats};
-use ntp_hash::{fnv64, Fnv64};
+use ntp_hash::{fnv64, Fold64};
 use ntp_trace::{
     ControlMix, RedundancyRaw, TraceId, TraceRecord, TraceStatsRaw, MAX_TRACE_BRANCHES,
     MAX_TRACE_LEN,
@@ -34,7 +42,7 @@ pub const MAGIC: [u8; 4] = *b"NTPC";
 /// On-disk format version. Bump on any layout change; readers reject
 /// every other version (the fingerprint also folds this in, so a bump
 /// changes file names too and old files are simply ignored).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fixed section order of the format (tag, human name).
 const SECTIONS: [(&[u8; 4], &str); 8] = [
@@ -185,7 +193,7 @@ pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
 pub(crate) struct SectionWriter<W: Write> {
     sink: W,
     pub(crate) bytes_written: u64,
-    hash: Fnv64,
+    hash: Fold64,
     /// Payload bytes the open section still owes its declared length.
     owed: u64,
 }
@@ -195,7 +203,7 @@ impl<W: Write> SectionWriter<W> {
         SectionWriter {
             sink,
             bytes_written: 0,
-            hash: Fnv64::new(),
+            hash: Fold64::new(),
             owed: 0,
         }
     }
@@ -209,7 +217,7 @@ impl<W: Write> SectionWriter<W> {
     /// Opens a section whose payload will be exactly `len` bytes.
     pub(crate) fn begin(&mut self, tag: &[u8; 4], len: u64) -> std::io::Result<()> {
         let len_bytes = len.to_le_bytes();
-        self.hash = Fnv64::new();
+        self.hash = Fold64::new();
         self.hash.update(tag);
         self.hash.update(&len_bytes);
         self.owed = len;
@@ -246,24 +254,6 @@ impl<W: Write> SectionWriter<W> {
 /// length; a multiple of the 8-byte record size.
 pub const CHUNK_BYTES: usize = 64 * 1024;
 
-/// The 8-byte on-disk form of one record.
-fn encode_record(r: &TraceRecord) -> [u8; 8] {
-    let id = r.id();
-    let pc = id.start_pc.to_le_bytes();
-    [
-        pc[0],
-        pc[1],
-        pc[2],
-        pc[3],
-        id.branch_bits,
-        id.branch_count,
-        r.len,
-        r.call_count()
-            | (u8::from(r.ends_in_return()) << 3)
-            | (u8::from(r.ends_in_indirect()) << 4),
-    ]
-}
-
 /// Streams the `RECS` section — record count, then the records — through
 /// one reusable [`CHUNK_BYTES`] buffer.
 fn write_records<W: Write>(
@@ -277,7 +267,7 @@ fn write_records<W: Write>(
     for part in records.chunks(CHUNK_BYTES / 8) {
         chunk.clear();
         for r in part {
-            chunk.extend_from_slice(&encode_record(r));
+            chunk.extend_from_slice(&r.to_bytes());
         }
         w.body(&chunk)?;
     }
@@ -574,7 +564,7 @@ fn section_header<R: Read>(
     r: &mut Reader<R>,
     tag: &'static [u8; 4],
     name: &'static str,
-) -> Result<(usize, Fnv64), TraceFileError> {
+) -> Result<(usize, Fold64), TraceFileError> {
     let found_tag = r.array::<4>("section tag")?;
     if &found_tag != tag {
         return Err(malformed(
@@ -592,7 +582,7 @@ fn section_header<R: Read>(
     if len > r.remaining() {
         return Err(TraceFileError::Truncated { what: name });
     }
-    let mut h = Fnv64::new();
+    let mut h = Fold64::new();
     h.update(tag);
     h.update(&len.to_le_bytes());
     Ok((len_usize, h))
@@ -601,7 +591,7 @@ fn section_header<R: Read>(
 /// Reads a section's stored checksum and compares it with `h`.
 fn section_end<R: Read>(
     r: &mut Reader<R>,
-    h: Fnv64,
+    h: Fold64,
     name: &'static str,
 ) -> Result<(), TraceFileError> {
     if r.u64("section checksum")? != h.finish() {
@@ -634,9 +624,10 @@ fn decode_meta(payload: &[u8]) -> Result<(String, String, u64), TraceFileError> 
     Ok((name, analog, icount))
 }
 
-/// Decodes and range-checks one 8-byte record.
-fn decode_record(b: &[u8]) -> Result<TraceRecord, TraceFileError> {
-    let start_pc = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+/// Range-checks one 8-byte record, naming the first field out of range.
+/// [`TraceRecord::from_bytes`] makes the same checks without saying which
+/// failed; this slow path runs only on a chunk that holds a bad record.
+fn check_record(b: &[u8]) -> Result<(), TraceFileError> {
     let [branch_bits, branch_count, len, flags] = [b[4], b[5], b[6], b[7]];
     if branch_count as usize > MAX_TRACE_BRANCHES {
         return Err(malformed("records", format!("branch_count {branch_count}")));
@@ -653,13 +644,7 @@ fn decode_record(b: &[u8]) -> Result<TraceRecord, TraceFileError> {
     if flags & 0b1110_0000 != 0 {
         return Err(malformed("records", format!("flag bits {flags:#010b}")));
     }
-    Ok(TraceRecord::new(
-        TraceId::new(start_pc, branch_bits, branch_count),
-        len,
-        flags & 0b111,
-        flags & 0b1000 != 0,
-        flags & 0b1_0000 != 0,
-    ))
+    Ok(())
 }
 
 /// The `RECS` payload length `count` records need, or why it cannot be.
@@ -673,14 +658,19 @@ fn records_len(count: u64) -> Result<usize, TraceFileError> {
 
 /// Streams the `RECS` section straight into an exact-capacity record
 /// vector, one [`CHUNK_BYTES`] chunk at a time, hashing each chunk just
-/// before decoding it. A value-range error found on the way is held back
-/// until the checksum has been verified, so a corrupt section reports a
-/// checksum mismatch, never a range error.
+/// before decoding it. Each chunk is decoded and range-checked in one
+/// branch-free pass ([`TraceRecord::from_bytes`]); only a chunk holding a
+/// bad record goes through [`check_record`] again, for the message. A
+/// value-range error found on the way is held back until the checksum has
+/// been verified, so a corrupt section reports a checksum mismatch, never
+/// a range error.
 fn read_records<R: Read>(r: &mut Reader<R>) -> Result<Vec<TraceRecord>, TraceFileError> {
     let (len, mut h) = section_header(r, b"RECS", "records")?;
     let mut rest = len;
     let mut held = None;
     let mut records = Vec::new();
+    // Stands in for a bad record until the chunk's error is held.
+    let filler = TraceRecord::new(TraceId::new(0, 0, 0), 1, 0, false, false);
     if len < 8 {
         held = Some(TraceFileError::Truncated {
             what: "record count",
@@ -707,14 +697,14 @@ fn read_records<R: Read>(r: &mut Reader<R>) -> Result<Vec<TraceRecord>, TraceFil
         r.fill(part, "records")?;
         h.update(part);
         if held.is_none() {
-            for b in part.chunks_exact(8) {
-                match decode_record(b) {
-                    Ok(rec) => records.push(rec),
-                    Err(e) => {
-                        held = Some(e);
-                        break;
-                    }
-                }
+            let mut valid = true;
+            records.extend(part.chunks_exact(8).map(|b| {
+                let rec = TraceRecord::from_bytes(b.try_into().expect("8-byte record"));
+                valid &= rec.is_some();
+                rec.unwrap_or(filler)
+            }));
+            if !valid {
+                held = part.chunks_exact(8).find_map(|b| check_record(b).err());
             }
         }
         rest -= part.len();
@@ -1078,6 +1068,29 @@ mod tests {
             decode(&stale, &fp()),
             Err(TraceFileError::ChecksumMismatch { section: "records" })
         ));
+    }
+
+    #[test]
+    fn fast_and_slow_record_checks_agree() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..200_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mut b = x.to_le_bytes();
+            // Pull half the samples near the valid ranges so both verdicts occur.
+            if i % 2 == 0 {
+                b[4] &= 0x7F;
+                b[5] %= 8;
+                b[6] %= 18;
+                b[7] &= 0x3F;
+            }
+            let fast = TraceRecord::from_bytes(b);
+            assert_eq!(fast.is_some(), check_record(&b).is_ok(), "{b:?}");
+            if let Some(r) = fast {
+                assert_eq!(r.to_bytes(), b, "valid records round-trip");
+            }
+        }
     }
 
     #[test]

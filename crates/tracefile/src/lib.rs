@@ -14,13 +14,16 @@
 //!   assembled program image), instruction budget, trace-selection policy
 //!   and format version, canonicalized and FNV-hashed;
 //! * [`format`] — the validating `.ntc` codec: magic + version header,
-//!   fingerprint echo, per-section length fields and FNV-1a 64 checksums.
+//!   fingerprint echo (its FNV-1a 64 hash checks the header), per-section
+//!   length fields and word-at-a-time [`ntp_hash::Fold64`] section
+//!   checksums.
 //!   Stale or corrupt files are **hard errors** ([`TraceFileError`]) — the
 //!   caller re-captures; a cache can never mis-load;
 //! * [`counters`] — process-wide hit/miss/bytes/time telemetry, surfaced
 //!   by the bench reports under the volatile `"throughput"` section;
 //! * [`snapshot`] — the `.nts` predictor *state* snapshot codec: the same
-//!   validating section/checksum/fingerprint discipline applied to trained
+//!   validating section/checksum/fingerprint discipline (FNV-1a 64
+//!   fingerprint, `Fold64` section and session-wire checksums) applied to trained
 //!   predictor sessions, so `ntp serve` can warm-start instead of
 //!   relearning (see [`SnapshotArtifact`]).
 //!
@@ -78,10 +81,10 @@ pub use snapshot::{
     read_snapshot_file, write_snapshot_file, SessionSnapshot, SnapshotArtifact, SnapshotError,
     SESSION_WIRE_MAGIC, SNAPSHOT_EXT, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-// The FNV-1a 64 implementation lives in the shared `ntp-hash` crate (the
-// `ntp-serve` wire protocol checksums frames with the same hash);
-// re-exported here so existing `ntp_tracefile::{fnv64, Fnv64}` users keep
-// working unchanged.
+// Both hashes live in the shared `ntp-hash` crate (the `ntp-serve` wire
+// protocol checksums frames with the same FNV-1a 64); FNV is re-exported
+// here so existing `ntp_tracefile::{fnv64, Fnv64}` users keep working
+// unchanged.
 pub use format::{CaptureArtifact, TraceFileError, FORMAT_VERSION, MAGIC};
 pub use ntp_hash::{fnv64, Fnv64};
 

@@ -11,6 +11,7 @@
 //! same verdict from each.
 
 use ntp_baselines::{MultiBranchStats, SequentialStats};
+use ntp_hash::fold64;
 use ntp_trace::{ControlMix, RedundancyRaw, TraceConfig, TraceStatsRaw};
 use ntp_tracefile::format::{decode, encode, read_file, write_file, CHUNK_BYTES};
 use ntp_tracefile::{fnv64, CaptureArtifact, Fingerprint, TraceFileError, FORMAT_VERSION};
@@ -331,16 +332,109 @@ fn multi_chunk_artifact_round_trips_and_refuses_flips() {
     }
 }
 
-/// Pins format version 1: the encoding of a fixed multi-chunk artifact
+/// Pins format version 2: the encoding of a fixed multi-chunk artifact
 /// must never change. A deliberate layout change bumps `FORMAT_VERSION`
 /// and this value together.
 #[test]
-fn format_v1_encoding_is_pinned() {
+fn format_v2_encoding_is_pinned() {
     let (fp, artifact) = multi_chunk_artifact();
     let bytes = encode(&fp, &artifact);
-    assert_eq!(FORMAT_VERSION, 1);
+    assert_eq!(FORMAT_VERSION, 2);
     assert_eq!(bytes.len(), 198_296);
-    assert_eq!(fnv64(&bytes), 0x469c_23b8_777d_96df);
+    assert_eq!(fnv64(&bytes), 0x848a_59a5_7c25_7057);
+}
+
+/// A version-1 image (FNV-1a section checksums) is refused by its version
+/// field, before any checksum is looked at.
+#[test]
+fn version_1_images_are_refused() {
+    let (fp, artifact) = multi_chunk_artifact();
+    let mut bytes = encode(&fp, &artifact);
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    match decode(&bytes, &fp) {
+        Err(TraceFileError::BadVersion { found: 1 }) => {}
+        other => panic!("expected BadVersion {{ found: 1 }}, got {other:?}"),
+    }
+}
+
+/// `bytes` with the record at `index` replaced by `record` and the `RECS`
+/// checksum recomputed, so only the record range checks can refuse it.
+fn with_record(bytes: &[u8], artifact: &CaptureArtifact, index: usize, record: [u8; 8]) -> Vec<u8> {
+    let first = records_offset(bytes, artifact);
+    let tag = first - 20;
+    let end = first + 8 * artifact.records.len();
+    let mut out = bytes.to_vec();
+    out[first + 8 * index..first + 8 * index + 8].copy_from_slice(&record);
+    let sum = fold64(&out[tag..end]);
+    out[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// A checksum-valid `RECS` section with one bad record — first in its
+/// chunk, mid-chunk, or last — is refused with the message that names the
+/// field, whichever chunk it sits in; with two bad records, the first one
+/// is named. A stale checksum still wins over the range error.
+#[test]
+fn bad_records_are_named_wherever_they_sit_in_a_chunk() {
+    let (fp, artifact) = multi_chunk_artifact();
+    let bytes = encode(&fp, &artifact);
+    let per_chunk = CHUNK_BYTES / 8;
+    let good = artifact.records[0].to_bytes();
+    let with_field = |at: usize, v: u8| {
+        let mut r = good;
+        r[at] = v;
+        r
+    };
+    let cases = [
+        (with_field(6, 0), "trace length 0"),
+        (with_field(6, 17), "trace length 17"),
+        (with_field(7, 0b0010_0000), "flag bits 0b00100000"),
+        (
+            {
+                let mut r = with_field(5, 3);
+                r[4] = 0b1000;
+                r
+            },
+            "branch bits 0b1000 exceed count 3",
+        ),
+        (with_field(5, 7), "branch_count 7"),
+    ];
+    let last = artifact.records.len() - 1;
+    let places = [
+        0,
+        1,
+        per_chunk / 2,
+        per_chunk - 1,
+        per_chunk,
+        2 * per_chunk + 77,
+        last,
+    ];
+    for (record, what) in cases {
+        for index in places {
+            let crafted = with_record(&bytes, &artifact, index, record);
+            let err = decode(&crafted, &fp).expect_err("a bad record is refused");
+            assert_eq!(
+                err.to_string(),
+                format!("malformed section `records`: {what}"),
+                "record {index}"
+            );
+        }
+    }
+    // Two bad records in one chunk: the first is named.
+    let twice = with_record(&bytes, &artifact, per_chunk + 5, cases[0].0);
+    let twice = with_record(&twice, &artifact, per_chunk + 3, cases[2].0);
+    assert_eq!(
+        decode(&twice, &fp).unwrap_err().to_string(),
+        "malformed section `records`: flag bits 0b00100000"
+    );
+    // A stale checksum over the same bytes: the checksum error wins.
+    let mut stale = with_record(&bytes, &artifact, per_chunk, cases[0].0);
+    let first = records_offset(&stale, &artifact);
+    stale[first + 8 * artifact.records.len()] ^= 1;
+    assert!(matches!(
+        decode(&stale, &fp),
+        Err(TraceFileError::ChecksumMismatch { section: "records" })
+    ));
 }
 
 /// A file written under any other format version must be refused even if

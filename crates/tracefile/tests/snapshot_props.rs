@@ -16,10 +16,10 @@ use ntp_core::{
 };
 use ntp_trace::{TraceId, TraceRecord};
 use ntp_tracefile::snapshot::{
-    decode_snapshot, encode_snapshot, SessionSnapshot, SnapshotArtifact, SnapshotError,
-    SNAPSHOT_VERSION,
+    decode_session_wire, decode_snapshot, encode_session_wire, encode_snapshot, SessionSnapshot,
+    SnapshotArtifact, SnapshotError, SNAPSHOT_VERSION,
 };
-use ntp_tracefile::TraceFileError;
+use ntp_tracefile::{fnv64, TraceFileError};
 use ntp_verify::XorShift64;
 
 /// One random, structurally valid trace record.
@@ -248,6 +248,41 @@ fn version_skew_is_refused() {
             }
             other => panic!("version {skew}: expected BadVersion, got {other:?}"),
         }
+    }
+}
+
+/// Pins snapshot version 2: the `.nts` image and the session-wire payload
+/// of a fixed pair of tiny trained sessions must never change. A
+/// deliberate layout change bumps `SNAPSHOT_VERSION` and these values
+/// together.
+#[test]
+fn snapshot_v2_encoding_is_pinned() {
+    let mut rng = XorShift64::new(0x0A75_0002);
+    let artifact = gen_tiny_artifact(&mut rng, 2);
+    assert_eq!(SNAPSHOT_VERSION, 2);
+    let bytes = encode_snapshot(&artifact);
+    assert_eq!((bytes.len(), fnv64(&bytes)), (4_394, 0x5aa3_c3c8_4625_7ccf));
+    let wire = encode_session_wire(&artifact.sessions[1]);
+    assert_eq!((wire.len(), fnv64(&wire)), (2_107, 0x7b73_4c13_79b1_237e));
+}
+
+/// Version-1 images (FNV-1a section checksums) are refused by their
+/// version field, in a file and on the wire.
+#[test]
+fn version_1_images_are_refused() {
+    let mut rng = XorShift64::new(0x0A75_0001);
+    let artifact = gen_tiny_artifact(&mut rng, 1);
+    let mut bytes = encode_snapshot(&artifact);
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    match decode_snapshot(&bytes) {
+        Err(SnapshotError::File(TraceFileError::BadVersion { found: 1 })) => {}
+        other => panic!("expected BadVersion {{ found: 1 }}, got {other:?}"),
+    }
+    let mut wire = encode_session_wire(&artifact.sessions[0]);
+    wire[4..8].copy_from_slice(&1u32.to_le_bytes());
+    match decode_session_wire(&wire) {
+        Err(SnapshotError::File(TraceFileError::BadVersion { found: 1 })) => {}
+        other => panic!("expected BadVersion {{ found: 1 }}, got {other:?}"),
     }
 }
 

@@ -47,11 +47,32 @@ pub fn words_directive(words: &[u32]) -> String {
             if k > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("0x{w:x}"));
+            push_hex(&mut out, *w);
         }
         out.push('\n');
     }
     out
+}
+
+/// Appends `w` as `0x` and its lowercase hex digits (the `{:#x}` form),
+/// without the formatting machinery: xlisp's tables hold ~58 K words.
+fn push_hex(out: &mut String, w: u32) {
+    out.push_str("0x");
+    let digits = (32 - w.leading_zeros()).div_ceil(4).max(1);
+    for k in (0..digits).rev() {
+        out.push(char::from_digit((w >> (4 * k)) & 0xF, 16).expect("a hex digit"));
+    }
+}
+
+/// Appends the decimal digits of `b` (the `{}` form).
+fn push_decimal(out: &mut String, b: u8) {
+    if b >= 100 {
+        out.push(char::from(b'0' + b / 100));
+    }
+    if b >= 10 {
+        out.push(char::from(b'0' + b / 10 % 10));
+    }
+    out.push(char::from(b'0' + b % 10));
 }
 
 /// Formats a slice of bytes as `.byte` directives, 16 per line.
@@ -63,7 +84,7 @@ pub fn bytes_directive(bytes: &[u8]) -> String {
             if k > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("{b}"));
+            push_decimal(&mut out, *b);
         }
         out.push('\n');
     }
@@ -88,6 +109,25 @@ mod tests {
         let mut l = Lcg::new(7);
         for _ in 0..1000 {
             assert!(l.below(13) < 13);
+        }
+    }
+
+    #[test]
+    fn digit_writers_match_the_formatter() {
+        let mut l = Lcg::new(11);
+        let edges = [0, 1, 0xF, 0x10, 0xFFFF, 0x1_0000, 0xFFFF_FFFF];
+        for w in edges
+            .into_iter()
+            .chain((0..1000).map(|_| l.next_u32() >> (l.next_u32() % 32)))
+        {
+            let mut s = String::new();
+            push_hex(&mut s, w);
+            assert_eq!(s, format!("{w:#x}"));
+        }
+        for b in 0..=255u8 {
+            let mut s = String::new();
+            push_decimal(&mut s, b);
+            assert_eq!(s, b.to_string());
         }
     }
 
